@@ -3,10 +3,13 @@
    variant.  Deliberately boring: the encoding must stay stable across
    sessions because recovery reads images written by earlier runs.
 
-   The CRC32 implementation is the bitwise IEEE 802.3 reflected algorithm —
-   no precomputed table, so there is no module-level mutable state for
-   vmlint's D1 rule to object to.  Eight shifts per byte is plenty fast for
-   simulated-disk volumes. *)
+   The CRC32 is the IEEE 802.3 reflected algorithm computed slice-by-8:
+   eight 256-entry tables fold eight input bytes into the register per
+   step, about fifty times faster than a bit-at-a-time loop — which matters
+   because every checkpoint image (a megabyte at N=20000) is checksummed
+   on write and again on recovery.  The tables are built once at module
+   init and only read afterwards (the one .vmlint D1 entry for this
+   file). *)
 
 exception Corrupt of string
 
@@ -18,18 +21,47 @@ let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 
 let crc32_poly = 0xEDB88320
 
-let crc32 ?(init = 0xFFFFFFFF) s =
-  let crc = ref init in
-  String.iter
-    (fun ch ->
-      crc := !crc lxor Char.code ch;
-      for _ = 1 to 8 do
-        let lsb = !crc land 1 in
-        crc := !crc lsr 1;
-        if lsb = 1 then crc := !crc lxor crc32_poly
-      done)
-    s;
-  !crc lxor 0xFFFFFFFF land 0xFFFFFFFF
+(* [crc_table.((k lsl 8) lor b)] is the register after byte [b] followed by
+   [k] zero bytes: slice 0 is the classic byte-at-a-time table, slice [k]
+   extends slice [k - 1] by one more byte. *)
+let crc_table =
+  let t = Array.make (8 * 256) 0 in
+  for b = 0 to 255 do
+    let c = ref b in
+    for _ = 1 to 8 do
+      c := if !c land 1 = 1 then (!c lsr 1) lxor crc32_poly else !c lsr 1
+    done;
+    t.(b) <- !c
+  done;
+  for i = 256 to (8 * 256) - 1 do
+    let prev = t.(i - 256) in
+    t.(i) <- (prev lsr 8) lxor t.(prev land 0xFF)
+  done;
+  t
+
+let crc32 s =
+  let t = crc_table in
+  let len = String.length s in
+  let crc = ref 0xFFFFFFFF in
+  let i = ref 0 in
+  while !i + 8 <= len do
+    let lo = !crc lxor Int32.to_int (String.get_int32_le s !i) in
+    let hi = Int32.to_int (String.get_int32_le s (!i + 4)) in
+    crc :=
+      t.(0x700 lor (lo land 0xFF))
+      lxor t.(0x600 lor ((lo lsr 8) land 0xFF))
+      lxor t.(0x500 lor ((lo lsr 16) land 0xFF))
+      lxor t.(0x400 lor ((lo lsr 24) land 0xFF))
+      lxor t.(0x300 lor (hi land 0xFF))
+      lxor t.(0x200 lor ((hi lsr 8) land 0xFF))
+      lxor t.(0x100 lor ((hi lsr 16) land 0xFF))
+      lxor t.((hi lsr 24) land 0xFF);
+    i := !i + 8
+  done;
+  for j = !i to len - 1 do
+    crc := (!crc lsr 8) lxor t.((!crc lxor Char.code s.[j]) land 0xFF)
+  done;
+  !crc lxor 0xFFFFFFFF
 
 (* ------------------------------------------------------------------ *)
 (* Writer                                                               *)
@@ -46,19 +78,11 @@ let u8 w n =
 
 let u32 w n =
   if n < 0 || n > 0xFFFFFFFF then invalid_arg "Codec.u32: out of range";
-  Buffer.add_char w (Char.chr (n land 0xFF));
-  Buffer.add_char w (Char.chr ((n lsr 8) land 0xFF));
-  Buffer.add_char w (Char.chr ((n lsr 16) land 0xFF));
-  Buffer.add_char w (Char.chr ((n lsr 24) land 0xFF))
+  Buffer.add_int32_le w (Int32.of_int n)
 
-let i64_bits w (n : int64) =
-  for i = 0 to 7 do
-    Buffer.add_char w
-      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical n (8 * i)) 0xFFL)))
-  done
-
-let i64 w n = i64_bits w (Int64.of_int n)
-let f64 w x = i64_bits w (Int64.bits_of_float x)
+let i64_bits w n = Buffer.add_int64_le w n
+let i64 w n = Buffer.add_int64_le w (Int64.of_int n)
+let f64 w x = Buffer.add_int64_le w (Int64.bits_of_float x)
 
 let str w s =
   u32 w (String.length s);
@@ -102,22 +126,24 @@ let r_u8 r =
 
 let r_u32 r =
   need r 4;
-  let b i = Char.code r.data.[r.pos + i] in
-  let n = b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24) in
+  let n = Int32.to_int (String.get_int32_le r.data r.pos) land 0xFFFFFFFF in
   r.pos <- r.pos + 4;
   n
 
 let r_i64_bits r =
   need r 8;
-  let n = ref 0L in
-  for i = 7 downto 0 do
-    n := Int64.logor (Int64.shift_left !n 8)
-           (Int64.of_int (Char.code r.data.[r.pos + i]))
-  done;
+  let n = String.get_int64_le r.data r.pos in
   r.pos <- r.pos + 8;
-  !n
+  n
 
-let r_i64 r = Int64.to_int (r_i64_bits r)
+(* Reads the word itself rather than calling [r_i64_bits], which would box
+   an int64 on every integer decoded. *)
+let r_i64 r =
+  need r 8;
+  let n = Int64.to_int (String.get_int64_le r.data r.pos) in
+  r.pos <- r.pos + 8;
+  n
+
 let r_f64 r = Int64.float_of_bits (r_i64_bits r)
 
 let r_str r =
@@ -234,11 +260,15 @@ let r_schema r : Schema.t =
 
 type frame_error = Torn | Bad_crc
 
-let frame payload =
-  let w = writer () in
+let add_frame w payload =
   u32 w (String.length payload);
   u32 w (crc32 payload);
-  contents w ^ payload
+  Buffer.add_string w payload
+
+let frame payload =
+  let w = Buffer.create (8 + String.length payload) in
+  add_frame w payload;
+  Buffer.contents w
 
 (* Reads one frame starting at [r.pos].  On success advances past the frame
    and returns the payload.  [Error Torn] means the remaining bytes cannot

@@ -8,13 +8,15 @@ exception Corrupt of string
 (** Raised by every decoder on malformed input (bad tag, truncation,
     implausible length, failed schema validation). *)
 
-val crc32 : ?init:int -> string -> int
-(** IEEE 802.3 reflected CRC32 (init/xorout [0xFFFFFFFF]), bitwise — no
-    lookup table, hence no module-level state. *)
+val crc32 : string -> int
+(** IEEE 802.3 reflected CRC32 (init/xorout [0xFFFFFFFF]), computed
+    slice-by-8 over a read-only table built at module init. *)
 
 (** {1 Writer} *)
 
-type writer
+type writer = Buffer.t
+(** A plain buffer, so a caller can frame records straight into a buffer it
+    already owns (the log writer's pending bytes). *)
 
 val writer : unit -> writer
 val contents : writer -> string
@@ -67,6 +69,9 @@ type frame_error =
   | Bad_crc  (** complete frame whose checksum fails (bit rot / torn write) *)
 
 val frame : string -> string
+
+val add_frame : writer -> string -> unit
+(** Append [frame payload] to the writer without building it separately. *)
 
 val read_frame : reader -> (string, frame_error) result
 (** On success advances past the frame; on error leaves [pos] unchanged so

@@ -114,7 +114,12 @@ let decode payload =
     ck_adaptive;
   }
 
-let to_bytes im = magic ^ Codec.frame (encode im)
+let to_bytes im =
+  let payload = encode im in
+  let w = Buffer.create (String.length magic + 8 + String.length payload) in
+  Buffer.add_string w magic;
+  Codec.add_frame w payload;
+  Buffer.contents w
 
 let of_bytes data =
   let ml = String.length magic in
@@ -132,12 +137,15 @@ let of_bytes data =
         | exception Codec.Corrupt msg -> Error msg)
   end
 
-let write dev im = Device.write_atomic dev ~name:(file_name im.ck_id) (to_bytes im)
+let write dev im =
+  let data = to_bytes im in
+  Device.write_atomic dev ~name:(file_name im.ck_id) data;
+  String.length data
 
 let read dev ~id =
   match Device.read dev ~name:(file_name id) with
   | None -> Error "no such image"
-  | Some data -> of_bytes data
+  | Some data -> Result.map (fun im -> (im, String.length data)) (of_bytes data)
 
 (* Newest image that validates; corrupt images are skipped (the log tail
    since the next-newest image covers the difference). *)
@@ -145,8 +153,6 @@ let latest dev =
   let rec pick = function
     | [] -> None
     | (id, _) :: rest -> (
-        match read dev ~id with Ok im -> Some im | Error _ -> pick rest)
+        match read dev ~id with Ok found -> Some found | Error _ -> pick rest)
   in
   pick (List.rev (image_files dev))
-
-let image_bytes im = String.length (to_bytes im)

@@ -32,10 +32,13 @@ val decode : string -> image
 val to_bytes : image -> string
 val of_bytes : string -> (image, string) result
 
-val write : Device.t -> image -> unit
-val read : Device.t -> id:int -> (image, string) result
+val write : Device.t -> image -> int
+(** Encode, checksum and atomically write the image once; returns the bytes
+    written (what the caller charges to the [Wal] category). *)
 
-val latest : Device.t -> image option
-(** Newest image that validates; corrupt ones are skipped. *)
+val read : Device.t -> id:int -> (image * int, string) result
+(** The image and the bytes read for it (what recovery charges). *)
 
-val image_bytes : image -> int
+val latest : Device.t -> (image * int) option
+(** Newest image that validates, as {!read} returns it; corrupt ones are
+    skipped. *)

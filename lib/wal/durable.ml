@@ -56,10 +56,40 @@ type t = {
   mutable checkpoints_taken : int;
 }
 
+(* The catalog: net base contents keyed by tid.  Recovery derives the
+   continuing engine's base through {!replay_base}, so the wrapper and the
+   recovery path share one implementation of it. *)
+let catalog_of tuples =
+  let catalog = Hashtbl.create (max 16 (List.length tuples)) in
+  List.iter (fun tuple -> Hashtbl.replace catalog (Tuple.tid tuple) tuple) tuples;
+  catalog
+
+let apply_catalog catalog (changes : Strategy.change list) =
+  List.iter
+    (fun (c : Strategy.change) ->
+      (match c.Strategy.before with
+      | Some old_tuple -> Hashtbl.remove catalog (Tuple.tid old_tuple)
+      | None -> ());
+      match c.Strategy.after with
+      | Some new_tuple -> Hashtbl.replace catalog (Tuple.tid new_tuple) new_tuple
+      | None -> ())
+    changes
+
+let by_tid a b = Int.compare (Tuple.tid a) (Tuple.tid b)
+
+(* Canonical (ascending-tid) contents; the fold is under the sort so hash
+   order never escapes (vmlint D3). *)
+let sorted_catalog catalog =
+  List.sort by_tid (Hashtbl.fold (fun _ tuple acc -> tuple :: acc) catalog [])
+
+let replay_base initial txns =
+  let catalog = catalog_of initial in
+  List.iter (apply_catalog catalog) txns;
+  sorted_catalog catalog
+
 let wrap ?(config = Wal.default_config) ?(probe = null_probe) ?(op_index = 0)
     ?next_txn_id ~ctx ~dev ~initial inner =
-  let catalog = Hashtbl.create (max 16 (List.length initial)) in
-  List.iter (fun tuple -> Hashtbl.replace catalog (Tuple.tid tuple) tuple) initial;
+  let catalog = catalog_of initial in
   let next_ckpt_id =
     1 + List.fold_left (fun acc (i, _) -> max acc i) 0 (Checkpoint.image_files dev)
   in
@@ -80,23 +110,7 @@ let inner t = t.inner
 let op_index t = t.op_index
 let checkpoints_taken t = t.checkpoints_taken
 
-let by_tid a b = Int.compare (Tuple.tid a) (Tuple.tid b)
-
-(* Canonical (ascending-tid) net base contents; the fold is under the sort
-   so hash order never escapes (vmlint D3). *)
-let base_contents t =
-  List.sort by_tid (Hashtbl.fold (fun _ tuple acc -> tuple :: acc) t.catalog [])
-
-let apply_catalog catalog (changes : Strategy.change list) =
-  List.iter
-    (fun (c : Strategy.change) ->
-      (match c.Strategy.before with
-      | Some old_tuple -> Hashtbl.remove catalog (Tuple.tid old_tuple)
-      | None -> ());
-      match c.Strategy.after with
-      | Some new_tuple -> Hashtbl.replace catalog (Tuple.tid new_tuple) new_tuple
-      | None -> ())
-    changes
+let base_contents t = sorted_catalog t.catalog
 
 (* Canonical view rows (value-key order) from a strategy's logical
    contents. *)
@@ -135,8 +149,7 @@ let take_checkpoint t =
           (t.probe.p_adaptive ());
     }
   in
-  Checkpoint.write (Wal.device t.wal) image;
-  let bytes = Checkpoint.image_bytes image in
+  let bytes = Checkpoint.write (Wal.device t.wal) image in
   ignore (Wal.charge_pages t.wal bytes);
   t.next_ckpt_id <- t.next_ckpt_id + 1;
   t.checkpoints_taken <- t.checkpoints_taken + 1;

@@ -52,6 +52,11 @@ val checkpoints_taken : t -> int
 val base_contents : t -> Tuple.t list
 (** Net base contents from the catalog, ascending tid. *)
 
+val replay_base : Tuple.t list -> Vmat_view.Strategy.change list list -> Tuple.t list
+(** [replay_base initial txns]: the catalog the wrapper would hold after
+    seeding it with [initial] and handling [txns] in order, ascending tid —
+    what recovery hands the continuing engine. *)
+
 val view_rows : Vmat_view.Strategy.t -> (Tuple.t * int) list
 (** Canonical (value-key-ordered) rows + duplicate counts of a strategy's
     logical view contents. *)

@@ -63,10 +63,13 @@ let charge_read_pages ctx bytes =
           done)
 
 let scan ?ctx dev =
-  let image = Checkpoint.latest dev in
-  (match image with
-  | Some im -> charge_read_pages ctx (Checkpoint.image_bytes im)
-  | None -> ());
+  let image =
+    match Checkpoint.latest dev with
+    | Some (im, bytes) ->
+        charge_read_pages ctx bytes;
+        Some im
+    | None -> None
+  in
   let image_op =
     match image with Some im -> im.Checkpoint.ck_op_index | None -> 0
   in
@@ -164,31 +167,9 @@ let replay s ~initial ~(build : build) =
     match s.sc_image with Some im -> im.Checkpoint.ck_base | None -> initial
   in
   let strategy, probe = build ~image:s.sc_image base0 in
-  List.iter
-    (fun tx -> strategy.Strategy.handle_transaction tx.rx_changes)
-    s.sc_txns;
-  (* The post-replay net base contents, for the continuing engine's catalog
-     (fold under the sort: D3). *)
-  let catalog = Hashtbl.create (max 16 (List.length base0)) in
-  List.iter (fun tuple -> Hashtbl.replace catalog (Tuple.tid tuple) tuple) base0;
-  List.iter
-    (fun tx ->
-      List.iter
-        (fun (c : Strategy.change) ->
-          (match c.Strategy.before with
-          | Some old_tuple -> Hashtbl.remove catalog (Tuple.tid old_tuple)
-          | None -> ());
-          match c.Strategy.after with
-          | Some new_tuple -> Hashtbl.replace catalog (Tuple.tid new_tuple) new_tuple
-          | None -> ())
-        tx.rx_changes)
-    s.sc_txns;
-  let base =
-    List.sort
-      (fun a b -> Int.compare (Tuple.tid a) (Tuple.tid b))
-      (Hashtbl.fold (fun _ tuple acc -> tuple :: acc) catalog [])
-  in
-  (strategy, probe, base)
+  let txns = List.map (fun tx -> tx.rx_changes) s.sc_txns in
+  List.iter strategy.Strategy.handle_transaction txns;
+  (strategy, probe, Durable.replay_base base0 txns)
 
 let recover ?config ~ctx ~dev ~initial ~(build : build) () =
   let r = Ctx.recorder ctx in

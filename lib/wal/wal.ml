@@ -100,7 +100,7 @@ let begin_txn t =
 let next_txn_id t = t.next_txn_id
 
 let append t record =
-  Buffer.add_string t.pending (Record.to_frame record);
+  Codec.add_frame t.pending (Record.encode record);
   t.pending_records <- t.pending_records + 1;
   t.appended_records <- t.appended_records + 1;
   Fault.point (Ctx.fault t.ctx) "wal.append"

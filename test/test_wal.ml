@@ -38,6 +38,41 @@ let test_crc32_vector () =
   Alcotest.(check int) "crc32(123456789)" 0xCBF43926 (Codec.crc32 "123456789");
   Alcotest.(check int) "crc32(empty)" 0 (Codec.crc32 "")
 
+(* The bit-at-a-time IEEE CRC32 the slice-by-8 kernel must reproduce. *)
+let crc32_bitwise s =
+  let crc = ref 0xFFFFFFFF in
+  String.iter
+    (fun ch ->
+      crc := !crc lxor Char.code ch;
+      for _ = 1 to 8 do
+        let lsb = !crc land 1 in
+        crc := !crc lsr 1;
+        if lsb = 1 then crc := !crc lxor 0xEDB88320
+      done)
+    s;
+  !crc lxor 0xFFFFFFFF
+
+let test_crc32_matches_bitwise () =
+  (* every prefix length 0..64 covers every split into 8-byte blocks and a
+     tail *)
+  let block = QCheck.make ~print:hex QCheck.Gen.(string_size ~gen:char (return 64)) in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~name:"crc32 = bitwise reference (every length 0..64)" ~count:300
+       block (fun s ->
+         List.for_all
+           (fun n ->
+             let p = String.sub s 0 n in
+             Codec.crc32 p = crc32_bitwise p)
+           (List.init 65 Fun.id)));
+  let big =
+    QCheck.make
+      ~print:(fun s -> Printf.sprintf "<%d bytes>" (String.length s))
+      QCheck.Gen.(string_size ~gen:char (int_range (1 lsl 20) ((1 lsl 20) + 15)))
+  in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~name:"crc32 = bitwise reference (>= 1 MiB)" ~count:3 big (fun s ->
+         Codec.crc32 s = crc32_bitwise s))
+
 let test_primitive_roundtrip () =
   let w = Codec.writer () in
   Codec.u8 w 0xAB;
@@ -255,6 +290,28 @@ let test_record_golden_bytes () =
     "txn-begin bytes" "012a00000000000000"
     (hex (Wal_record.encode (Wal_record.Txn_begin { txn_id = 42 })))
 
+(* A change carrying every value kind. *)
+let golden_change =
+  let before =
+    Tuple.make ~tid:77
+      [| Value.Int 42; Value.Float 2.5; Value.Str "ab"; Value.Bool true; Value.Null |]
+  in
+  let after =
+    Tuple.make ~tid:78
+      [| Value.Int (-3); Value.Float (-0.125); Value.Str ""; Value.Bool false; Value.Null |]
+  in
+  Wal_record.Change { txn_id = 5; before = Some before; after = Some after }
+
+let test_frame_golden_bytes () =
+  (* The whole frame — length, CRC and payload — as the bitwise-CRC codec
+     wrote it. *)
+  Alcotest.(check string)
+    "change frame bytes"
+    ("5900000075b6535c020500000000000000014d0000000000000005000000022a00000000"
+   ^ "00000003000000000000044004020000006162010100014e0000000000000005000000"
+   ^ "02fdffffffffffffff03000000000000c0bf0400000000010000")
+    (hex (Wal_record.to_frame golden_change))
+
 let test_scan_tails () =
   let records = sample_records () in
   let log = String.concat "" (List.map Wal_record.to_frame records) in
@@ -370,25 +427,104 @@ let test_checkpoint_roundtrip () =
       Alcotest.(check (list (pair string string)))
         "adaptive" im.Checkpoint.ck_adaptive im'.Checkpoint.ck_adaptive
 
+let golden_image () =
+  let t1 = Tuple.make ~tid:3 [| Value.Int 10; Value.Float 0.25 |] in
+  let t2 = Tuple.make ~tid:4 [| Value.Int 11; Value.Str "v" |] in
+  {
+    Checkpoint.ck_id = 2;
+    ck_op_index = 17;
+    ck_next_txn_id = 5;
+    ck_strategy = "deferred";
+    ck_base = [ t1; t2 ];
+    ck_view = [ (t2, 2) ];
+    ck_a_net = [ (t1, true) ];
+    ck_d_net = [ (t2, false) ];
+    ck_bloom_bits = "\x01\x02\x03\x04";
+    ck_bloom_insertions = 9;
+    ck_adaptive = [ ("kind", "immediate") ];
+  }
+
+let test_checkpoint_golden_bytes () =
+  (* magic, frame header (length, CRC) and payload of a small image *)
+  Alcotest.(check string)
+    "image bytes"
+    ("564d4154434b5031f40000005b25f9d20200000000000000110000000000000005000000"
+   ^ "0000000008000000646566657272656402000000030000000000000002000000020a00"
+   ^ "00000000000003000000000000d03f040000000000000002000000020b000000000000"
+   ^ "0004010000007601000000040000000000000002000000020b00000000000000040100"
+   ^ "000076020000000000000001000000030000000000000002000000020a000000000000"
+   ^ "0003000000000000d03f0101000000040000000000000002000000020b000000000000"
+   ^ "00040100000076000400000001020304090000000000000001000000040000006b696e"
+   ^ "6409000000696d6d656469617465")
+    (hex (Checkpoint.to_bytes (golden_image ())))
+
 let test_checkpoint_latest_skips_corrupt () =
   let dev = Device.memory () in
-  Checkpoint.write dev (sample_image 1);
-  Checkpoint.write dev (sample_image 2);
+  let written1 = Checkpoint.write dev (sample_image 1) in
+  let written2 = Checkpoint.write dev (sample_image 2) in
+  (* write and latest report the file's size, which recovery charges *)
+  Alcotest.(check (option int)) "write returns the bytes written"
+    (Device.size dev ~name:(Checkpoint.file_name 1)) (Some written1);
   (match Checkpoint.latest dev with
-  | Some im -> Alcotest.(check int) "newest wins" 2 im.Checkpoint.ck_id
+  | Some (im, read) ->
+      Alcotest.(check int) "newest wins" 2 im.Checkpoint.ck_id;
+      Alcotest.(check int) "latest returns the bytes read" written2 read
   | None -> Alcotest.fail "no image found");
   (* corrupt the newest image: recovery falls back to the older one *)
   let name = Checkpoint.file_name 2 in
   let bytes = Option.get (Device.read dev ~name) in
   Device.write_atomic dev ~name (flip bytes (String.length bytes - 5));
   (match Checkpoint.latest dev with
-  | Some im -> Alcotest.(check int) "corrupt skipped" 1 im.Checkpoint.ck_id
+  | Some (im, read) ->
+      Alcotest.(check int) "corrupt skipped" 1 im.Checkpoint.ck_id;
+      Alcotest.(check int) "bytes of the image used" written1 read
   | None -> Alcotest.fail "older image not found");
   (match Checkpoint.read dev ~id:2 with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "corrupt image validated");
   Alcotest.(check (option int)) "file name round-trip" (Some 7)
     (Checkpoint.file_id (Checkpoint.file_name 7))
+
+(* ------------------------------------------------------------------ *)
+(* Fuzzed decoders: log and image bytes never raise                    *)
+(* ------------------------------------------------------------------ *)
+
+(* A mutant of one valid encoding: a few bytes overwritten, then maybe cut
+   short.  Re-framed with a correct CRC, it gets past the checksum and
+   reaches the decoder. *)
+let mutant_arb seeds =
+  QCheck.make ~print:hex
+    QCheck.Gen.(
+      oneofl seeds >>= fun s ->
+      let n = String.length s in
+      list_size (int_range 0 4) (pair (int_bound (n - 1)) (int_bound 255)) >>= fun edits ->
+      oneof [ return n; int_bound n ] >|= fun keep ->
+      let b = Bytes.of_string s in
+      List.iter (fun (i, v) -> Bytes.set b i (Char.chr v)) edits;
+      Bytes.sub_string b 0 keep)
+
+let test_fuzz_record_scan () =
+  let seeds = List.map Wal_record.encode (golden_change :: sample_records ()) in
+  let prefix = Wal_record.to_frame (Wal_record.Txn_begin { txn_id = 1 }) in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~name:"scan_bytes classifies every re-framed record mutant"
+       ~count:3000 (mutant_arb seeds) (fun payload ->
+         let log = prefix ^ Codec.frame payload in
+         let s = Wal_record.scan_bytes log in
+         let kept = List.length s.Wal_record.records in
+         match s.Wal_record.tail with
+         | Wal_record.Clean -> kept = 2 && s.Wal_record.valid_bytes = String.length log
+         | Wal_record.Bad_crc -> kept = 1 && s.Wal_record.valid_bytes = String.length prefix
+         | Wal_record.Torn -> false))
+
+let test_fuzz_image_decode () =
+  let seeds = [ Checkpoint.encode (golden_image ()); Checkpoint.encode (sample_image 1) ] in
+  let magic = String.sub (Checkpoint.to_bytes (golden_image ())) 0 8 in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~name:"of_bytes answers Ok or Error for every re-framed image mutant"
+       ~count:3000 (mutant_arb seeds) (fun payload ->
+         match Checkpoint.of_bytes (magic ^ Codec.frame payload) with
+         | Ok _ | Error _ -> true))
 
 (* ------------------------------------------------------------------ *)
 (* Hr.rebuild_filter (satellite)                                       *)
@@ -693,6 +829,7 @@ let suites =
     ( "wal-codec",
       [
         Alcotest.test_case "crc32 known vector" `Quick test_crc32_vector;
+        Alcotest.test_case "crc32 matches bitwise (qcheck)" `Quick test_crc32_matches_bitwise;
         Alcotest.test_case "primitive round-trip" `Quick test_primitive_roundtrip;
         Alcotest.test_case "value round-trip (qcheck)" `Quick test_value_roundtrip;
         Alcotest.test_case "tuple round-trip (qcheck)" `Quick test_tuple_roundtrip;
@@ -710,6 +847,7 @@ let suites =
         Alcotest.test_case "directory device" `Quick test_device_dir;
         Alcotest.test_case "record round-trip" `Quick test_record_roundtrip;
         Alcotest.test_case "record golden bytes" `Quick test_record_golden_bytes;
+        Alcotest.test_case "frame golden bytes" `Quick test_frame_golden_bytes;
         Alcotest.test_case "scan classifies tails" `Quick test_scan_tails;
         Alcotest.test_case "group commit" `Quick test_group_commit;
         Alcotest.test_case "segment rotation" `Quick test_segment_rotation;
@@ -717,8 +855,14 @@ let suites =
     ( "wal-checkpoint",
       [
         Alcotest.test_case "image round-trip" `Quick test_checkpoint_roundtrip;
+        Alcotest.test_case "image golden bytes" `Quick test_checkpoint_golden_bytes;
         Alcotest.test_case "latest skips corrupt" `Quick test_checkpoint_latest_skips_corrupt;
         Alcotest.test_case "hr rebuild_filter" `Quick test_rebuild_filter;
+      ] );
+    ( "wal-fuzz",
+      [
+        Alcotest.test_case "record scan never raises (qcheck)" `Quick test_fuzz_record_scan;
+        Alcotest.test_case "image decode never raises (qcheck)" `Quick test_fuzz_image_decode;
       ] );
     ( "wal-recovery",
       [
