@@ -1324,13 +1324,18 @@ let recover_cmd =
     let spec = Crash_harness.spec ~seed ~config ~params:p kind in
     let outcome, scan = Crash_harness.recover_on spec ~dev in
     Printf.printf "device            %s\n" (Device.describe dev);
-    Printf.printf "checkpoint image  %s\n"
-      (match scan.Recovery.sc_image with
-      | None -> "none (recovering from the initial base)"
-      | Some im ->
-          Printf.sprintf "%s (op %d, strategy %s)"
-            (Checkpoint.file_name im.Checkpoint.ck_id)
-            im.Checkpoint.ck_op_index im.Checkpoint.ck_strategy);
+    (match scan.Recovery.sc_image with
+    | None -> Printf.printf "checkpoint chain  none (recovering from the initial base)\n"
+    | Some ch ->
+        Printf.printf "checkpoint chain  full %s + %s (op %d, strategy %s)\n"
+          (Checkpoint.file_name ch.Checkpoint.ch_full_id)
+          (match ch.Checkpoint.ch_delta_ids with
+          | [] -> "no deltas"
+          | ids -> "deltas " ^ String.concat "," (List.map string_of_int ids))
+          ch.Checkpoint.ch_op_index ch.Checkpoint.ch_strategy;
+        Printf.printf "image bytes read  %d in %d images\n"
+          (List.fold_left ( + ) 0 ch.Checkpoint.ch_image_bytes)
+          (List.length ch.Checkpoint.ch_image_bytes));
     Printf.printf "log tail          %s%s\n"
       (Wal_record.tail_name scan.Recovery.sc_tail)
       (match scan.Recovery.sc_invalid with

@@ -1,5 +1,4 @@
 open Vmat_storage
-module Checkpoint = Vmat_wal.Checkpoint
 
 type t = {
   sn_epoch : int;
@@ -34,9 +33,6 @@ let of_rows ~cluster_col ~epoch ~txns rows =
     sn_cluster_col = cluster_col;
     sn_rows = Array.of_list (List.rev !merged);
   }
-
-let of_image ~cluster_col ~epoch (im : Checkpoint.image) =
-  of_rows ~cluster_col ~epoch ~txns:im.Checkpoint.ck_op_index im.Checkpoint.ck_view
 
 let epoch t = t.sn_epoch
 let txns t = t.sn_txns

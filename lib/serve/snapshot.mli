@@ -3,11 +3,10 @@
 
     A snapshot is the full logical contents of the materialized view at one
     commit epoch, canonicalized into an array sorted by (clustering value,
-    value key) with duplicate counts merged per distinct value key — the
-    same canonical row representation the WAL checkpoints persist
-    ({!Vmat_wal.Checkpoint.image}[.ck_view]).  Snapshots are deeply
-    immutable, so any number of domains may {!query} one concurrently
-    without synchronization. *)
+    value key) with duplicate counts merged per distinct value key.  It is
+    built from a strategy's answer rows at publish time, never from a
+    checkpoint image.  Snapshots are deeply immutable, so any number of
+    domains may {!query} one concurrently without synchronization. *)
 
 open Vmat_storage
 
@@ -18,11 +17,6 @@ val of_rows : cluster_col:int -> epoch:int -> txns:int -> (Tuple.t * int) list -
     into a snapshot.  [cluster_col] is the output position of the view's
     clustering column ({!Vmat_view.View_def.sp}[.sp_cluster_out]); [txns]
     is the number of committed transactions the image covers. *)
-
-val of_image : cluster_col:int -> epoch:int -> Vmat_wal.Checkpoint.image -> t
-(** Rehydrate a snapshot from a WAL checkpoint image ([txns] =
-    [ck_op_index]) — serving can come straight off the durability
-    subsystem's recovery path. *)
 
 val epoch : t -> int
 val txns : t -> int

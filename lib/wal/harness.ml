@@ -125,10 +125,11 @@ let adaptive_probe a =
       (fun () -> [ ("kind", Migrate.kind_name (Adaptive.current_kind a)) ]);
   }
 
-(* [image] matters only to the adaptive wrapper, which resumes in the kind
-   it had migrated to; the other strategies rebuild purely from the base
-   contents — a freshly built deferred view (empty differential file) is
-   logically a just-refreshed one. *)
+(* [image] (the resolved checkpoint chain) matters only to the adaptive
+   wrapper, which resumes in the kind it had migrated to; the other
+   strategies rebuild purely from the base contents — a freshly built
+   deferred view (empty differential file) is logically a just-refreshed
+   one. *)
 let build spec ~ctx ~(dataset : Dataset.model1) ~image initial =
   let env =
     {
@@ -147,8 +148,8 @@ let build spec ~ctx ~(dataset : Dataset.model1) ~image initial =
       let initial_kind =
         match image with
         | None -> None
-        | Some im -> (
-            match List.assoc_opt "kind" im.Checkpoint.ck_adaptive with
+        | Some ch -> (
+            match List.assoc_opt "kind" ch.Checkpoint.ch_adaptive with
             | Some name -> Migrate.kind_of_name name
             | None -> None)
       in

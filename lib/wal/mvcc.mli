@@ -10,9 +10,9 @@
     critical section.
 
     Payloads must be immutable: every pinning domain receives the same
-    value.  The serving layer stores {!Vmat_serve.Snapshot.t} images built
-    from the same canonical row representation as the WAL's checkpoint
-    images ({!Checkpoint.image}[.ck_view]). *)
+    value.  The serving layer stores {!Vmat_serve.Snapshot.t} values: the
+    view's canonical rows at one commit epoch, built from the strategy's
+    answer when the writer publishes. *)
 
 type 'a t
 

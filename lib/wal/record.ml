@@ -6,8 +6,11 @@
    A transaction is Txn_begin, one Change per tuple modification, then
    Commit; Commit carries the 1-based index of the operation in the
    workload stream, which is what recovery reports as the resume point.
-   Checkpoint_note marks that an image covering everything up to
-   [op_index] was durably written — recovery can ignore older segments. *)
+   Checkpoint_note records in the log that image [ckpt_id], covering
+   everything up to [op_index], was durably written; forcing it completes
+   the checkpoint (the ckpt.done crash point).  It is an audit marker for
+   log readers ([describe]): recovery does not read it, finds images by
+   listing the device, and scans every segment. *)
 
 open Vmat_storage
 module Strategy = Vmat_view.Strategy

@@ -5,7 +5,7 @@
     modification, then [Commit]; [Commit] carries the 1-based index of the
     operation in the workload stream (the resume point recovery reports).
     [Checkpoint_note] marks a durably-written image covering everything up
-    to its [op_index]. *)
+    to its [op_index]; it is an audit marker that recovery does not read. *)
 
 open Vmat_storage
 

@@ -2,8 +2,9 @@
 
    Three phases, all deterministic:
 
-   1. Scan: load the newest valid checkpoint image, then parse every log
-      segment in order, stopping at the first invalid frame (torn tail or
+   1. Scan: resolve the newest checkpoint chain that validates (a full
+      image plus the deltas folded onto it), then parse every log segment
+      in order, stopping at the first invalid frame (torn tail or
       CRC failure).  Records are grouped into transactions; a transaction
       counts only once its Commit record lies in the valid prefix —
       uncommitted work is discarded, exactly the no-steal/no-undo
@@ -12,8 +13,8 @@
    2. Repair: truncate the invalid tail (and drop any later segments) so
       the continuing engine appends over a clean prefix.
 
-   3. Replay: rebuild the strategy from the image's base contents via the
-      caller's [build] function and push every committed post-image
+   3. Replay: rebuild the strategy from the chain's folded base contents
+      via the caller's [build] function and push every committed post-image
       transaction through [Strategy.handle_transaction] — the *existing*
       differential update machinery (Delta/Strategy_sp/Strategy_join) is
       the redo engine; there is no separate recovery interpreter.
@@ -35,7 +36,7 @@ type txn = {
 }
 
 type scan = {
-  sc_image : Checkpoint.image option;
+  sc_image : Checkpoint.chain option;
   sc_txns : txn list;  (** committed, post-image, in log order *)
   sc_resume : int;  (** 1-based op index recovery restores through *)
   sc_next_txn_id : int;
@@ -63,15 +64,12 @@ let charge_read_pages ctx bytes =
           done)
 
 let scan ?ctx dev =
-  let image =
-    match Checkpoint.latest dev with
-    | Some (im, bytes) ->
-        charge_read_pages ctx bytes;
-        Some im
-    | None -> None
-  in
+  let image = Checkpoint.latest dev in
+  Option.iter
+    (fun ch -> List.iter (charge_read_pages ctx) ch.Checkpoint.ch_image_bytes)
+    image;
   let image_op =
-    match image with Some im -> im.Checkpoint.ck_op_index | None -> 0
+    match image with Some ch -> ch.Checkpoint.ch_op_index | None -> 0
   in
   let open_txns : (int, Strategy.change list ref) Hashtbl.t = Hashtbl.create 8 in
   let committed = ref [] in
@@ -128,7 +126,7 @@ let scan ?ctx dev =
   in
   let next_txn_id =
     let from_image =
-      match image with Some im -> im.Checkpoint.ck_next_txn_id | None -> 1
+      match image with Some ch -> ch.Checkpoint.ch_next_txn_id | None -> 1
     in
     max from_image (!max_txn_id + 1)
   in
@@ -157,14 +155,14 @@ let repair dev s =
         (fun (i, seg) -> if i > bad_from then Device.remove dev ~name:seg)
         (Wal.segment_files dev)
 
-type build = image:Checkpoint.image option -> Tuple.t list -> Strategy.t * Durable.probe
+type build = image:Checkpoint.chain option -> Tuple.t list -> Strategy.t * Durable.probe
 
-(* Redo: rebuild from the image's base contents (or the original initial
-   population) and replay the committed tail through the ordinary
+(* Redo: rebuild from the chain's folded base contents (or the original
+   initial population) and replay the committed tail through the ordinary
    differential update machinery. *)
 let replay s ~initial ~(build : build) =
   let base0 =
-    match s.sc_image with Some im -> im.Checkpoint.ck_base | None -> initial
+    match s.sc_image with Some ch -> ch.Checkpoint.ch_base | None -> initial
   in
   let strategy, probe = build ~image:s.sc_image base0 in
   let txns = List.map (fun tx -> tx.rx_changes) s.sc_txns in

@@ -1,5 +1,5 @@
-(** ARIES-lite crash recovery (DESIGN §9): scan the newest valid
-    checkpoint image plus the committed log prefix, truncate any torn
+(** ARIES-lite crash recovery (DESIGN §9): resolve the newest valid
+    checkpoint chain plus the committed log prefix, truncate any torn
     tail, and rebuild the strategy by replaying the committed post-image
     transactions through the ordinary differential update machinery.
     Redo-only — uncommitted work is discarded, and the workload driver
@@ -15,7 +15,8 @@ type txn = {
 }
 
 type scan = {
-  sc_image : Checkpoint.image option;
+  sc_image : Checkpoint.chain option;
+      (** the resolved chain: a full image with its deltas folded on *)
   sc_txns : txn list;  (** committed, post-image, in log order *)
   sc_resume : int;  (** 1-based op index recovery restores through *)
   sc_next_txn_id : int;
@@ -34,15 +35,15 @@ val scan : ?ctx:Ctx.t -> Device.t -> scan
 val repair : Device.t -> scan -> unit
 (** Phase 2: truncate the invalid tail and drop any later segments. *)
 
-type build = image:Checkpoint.image option -> Tuple.t list -> Strategy.t * Durable.probe
-(** How to rebuild the inner strategy from a base relation.  [image]
-    carries strategy-private state (view rows, A/D sets, Bloom bits,
-    adaptive kind) the builder may restore. *)
+type build = image:Checkpoint.chain option -> Tuple.t list -> Strategy.t * Durable.probe
+(** How to rebuild the inner strategy from a base relation.  [image] is
+    the resolved chain; its adaptive pairs carry the kind the adaptive
+    wrapper resumes in. *)
 
 val replay :
   scan -> initial:Tuple.t list -> build:build -> Strategy.t * Durable.probe * Tuple.t list
-(** Phase 3: rebuild from the image's base (or [initial] when no image)
-    and push every committed post-image transaction through the
+(** Phase 3: rebuild from the chain's folded base (or [initial] when no
+    image) and push every committed post-image transaction through the
     strategy.  Returns the strategy, its probe, and the post-replay net
     base contents (ascending tid) for the continuing engine's catalog. *)
 

@@ -105,9 +105,12 @@ let append t record =
   t.appended_records <- t.appended_records + 1;
   Fault.point (Ctx.fault t.ctx) "wal.append"
 
-let charge_pages t bytes =
+let pages t bytes =
   let page_bytes = (Ctx.geometry t.ctx).Ctx.page_bytes in
-  let pages = max 1 ((bytes + page_bytes - 1) / page_bytes) in
+  max 1 ((bytes + page_bytes - 1) / page_bytes)
+
+let charge_pages t bytes =
+  let pages = pages t bytes in
   let meter = Ctx.meter t.ctx in
   Cost_meter.with_category meter Cost_meter.Wal (fun () ->
       for _ = 1 to pages do

@@ -48,6 +48,10 @@ val commit : t -> unit
 val force : t -> unit
 (** Make everything buffered durable now. *)
 
+val pages : t -> int -> int
+(** [ceil (bytes / page_bytes)], at least 1: the page count {!charge_pages}
+    charges, without charging it. *)
+
 val charge_pages : t -> int -> int
 (** Charge [ceil (bytes / page_bytes)] (at least 1) page writes to the
     [Wal] meter category and return the page count — shared by log forces

@@ -417,7 +417,8 @@ let test_checkpoint_roundtrip () =
   let im = sample_image 4 in
   match Checkpoint.of_bytes (Checkpoint.to_bytes im) with
   | Error e -> Alcotest.fail e
-  | Ok im' ->
+  | Ok (Checkpoint.Delta _) -> Alcotest.fail "full image read back as a delta"
+  | Ok (Checkpoint.Full im') ->
       Alcotest.(check int) "id" im.Checkpoint.ck_id im'.Checkpoint.ck_id;
       Alcotest.(check int) "op" im.Checkpoint.ck_op_index im'.Checkpoint.ck_op_index;
       Alcotest.(check int) "txn" im.Checkpoint.ck_next_txn_id im'.Checkpoint.ck_next_txn_id;
@@ -458,32 +459,191 @@ let test_checkpoint_golden_bytes () =
    ^ "6409000000696d6d656469617465")
     (hex (Checkpoint.to_bytes (golden_image ())))
 
+let write_full dev im = Checkpoint.write dev ~id:im.Checkpoint.ck_id (Checkpoint.to_bytes im)
+let write_delta dev d = Checkpoint.write dev ~id:d.Checkpoint.cd_id (Checkpoint.delta_to_bytes d)
+
+let corrupt_image dev id =
+  let name = Checkpoint.file_name id in
+  let bytes = Option.get (Device.read dev ~name) in
+  Device.write_atomic dev ~name (flip bytes (String.length bytes - 5))
+
 let test_checkpoint_latest_skips_corrupt () =
   let dev = Device.memory () in
-  let written1 = Checkpoint.write dev (sample_image 1) in
-  let written2 = Checkpoint.write dev (sample_image 2) in
+  let written1 = write_full dev (sample_image 1) in
+  let written2 = write_full dev (sample_image 2) in
   (* write and latest report the file's size, which recovery charges *)
   Alcotest.(check (option int)) "write returns the bytes written"
     (Device.size dev ~name:(Checkpoint.file_name 1)) (Some written1);
   (match Checkpoint.latest dev with
-  | Some (im, read) ->
-      Alcotest.(check int) "newest wins" 2 im.Checkpoint.ck_id;
-      Alcotest.(check int) "latest returns the bytes read" written2 read
+  | Some ch ->
+      Alcotest.(check int) "newest wins" 2 ch.Checkpoint.ch_full_id;
+      Alcotest.(check (list int)) "latest returns the bytes read" [ written2 ]
+        ch.Checkpoint.ch_image_bytes
   | None -> Alcotest.fail "no image found");
   (* corrupt the newest image: recovery falls back to the older one *)
-  let name = Checkpoint.file_name 2 in
-  let bytes = Option.get (Device.read dev ~name) in
-  Device.write_atomic dev ~name (flip bytes (String.length bytes - 5));
+  corrupt_image dev 2;
   (match Checkpoint.latest dev with
-  | Some (im, read) ->
-      Alcotest.(check int) "corrupt skipped" 1 im.Checkpoint.ck_id;
-      Alcotest.(check int) "bytes of the image used" written1 read
+  | Some ch ->
+      Alcotest.(check int) "corrupt skipped" 1 ch.Checkpoint.ch_full_id;
+      Alcotest.(check (list int)) "bytes of the image used" [ written1 ]
+        ch.Checkpoint.ch_image_bytes
   | None -> Alcotest.fail "older image not found");
   (match Checkpoint.read dev ~id:2 with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "corrupt image validated");
   Alcotest.(check (option int)) "file name round-trip" (Some 7)
     (Checkpoint.file_id (Checkpoint.file_name 7))
+
+(* ------------------------------------------------------------------ *)
+(* Delta images and chains                                             *)
+(* ------------------------------------------------------------------ *)
+
+let golden_delta () =
+  {
+    Checkpoint.cd_id = 3;
+    cd_parent = 2;
+    cd_op_index = 21;
+    cd_next_txn_id = 7;
+    cd_strategy = "deferred";
+    cd_adaptive = [ ("kind", "immediate") ];
+    cd_removed = [ 3 ];
+    cd_added = [ Tuple.make ~tid:5 [| Value.Int 12; Value.Str "w" |] ];
+  }
+
+let test_delta_roundtrip () =
+  let d = golden_delta () in
+  match Checkpoint.of_bytes (Checkpoint.delta_to_bytes d) with
+  | Error e -> Alcotest.fail e
+  | Ok (Checkpoint.Full _) -> Alcotest.fail "delta read back as a full image"
+  | Ok (Checkpoint.Delta d') ->
+      Alcotest.(check (list int))
+        "ids, op and txn"
+        [ 3; 2; 21; 7 ]
+        [
+          d'.Checkpoint.cd_id;
+          d'.Checkpoint.cd_parent;
+          d'.Checkpoint.cd_op_index;
+          d'.Checkpoint.cd_next_txn_id;
+        ];
+      Alcotest.(check string) "strategy" "deferred" d'.Checkpoint.cd_strategy;
+      Alcotest.(check (list (pair string string)))
+        "adaptive" d.Checkpoint.cd_adaptive d'.Checkpoint.cd_adaptive;
+      Alcotest.(check (list int)) "removed" [ 3 ] d'.Checkpoint.cd_removed;
+      Alcotest.(check (list string))
+        "added"
+        (List.map Tuple.value_key d.Checkpoint.cd_added)
+        (List.map Tuple.value_key d'.Checkpoint.cd_added)
+
+let test_delta_golden_bytes () =
+  (* magic VMATCKD1, frame header, then id 3, parent 2, op 21, next txn 7,
+     the strategy, one adaptive pair, removed tids [3] and added tuples
+     [tid 5] *)
+  Alcotest.(check string)
+    "delta bytes"
+    ("564d4154434b4431700000003e2dd11503000000000000000200000000000000150000"
+   ^ "0000000000070000000000000008000000646566657272656401000000040000006b69"
+   ^ "6e6409000000696d6d6564696174650100000003000000000000000100000005000000"
+   ^ "0000000002000000020c00000000000000040100000077")
+    (hex (Checkpoint.delta_to_bytes (golden_delta ())))
+
+let test_delta_rejects_malformed () =
+  let t5 = Tuple.make ~tid:5 [| Value.Int 12 |] in
+  let check_rejected what d =
+    match Checkpoint.of_bytes (Checkpoint.delta_to_bytes d) with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.fail (what ^ " accepted")
+  in
+  let d = golden_delta () in
+  check_rejected "unordered removed tids" { d with Checkpoint.cd_removed = [ 4; 3 ] };
+  check_rejected "unordered added tids"
+    { d with Checkpoint.cd_added = [ t5; Tuple.make ~tid:4 [| Value.Int 1 |] ] };
+  check_rejected "tid both removed and added"
+    { d with Checkpoint.cd_removed = [ 5 ]; cd_added = [ t5 ] };
+  check_rejected "parent not older" { d with Checkpoint.cd_parent = 3 }
+
+let tid_lines tuples =
+  List.map (fun t -> Printf.sprintf "%d %s" (Tuple.tid t) (Tuple.value_key t)) tuples
+
+(* A full image and two deltas on it: the fold removes, adds and replaces
+   rows by tid, the newest delta winning. *)
+let small_chain dev =
+  let row tid v = Tuple.make ~tid [| Value.Int v |] in
+  let full =
+    { (sample_image 1) with Checkpoint.ck_base = [ row 1 10; row 2 20; row 3 30; row 4 40 ] }
+  in
+  let delta id parent removed added =
+    {
+      Checkpoint.cd_id = id;
+      cd_parent = parent;
+      cd_op_index = 17 + id;
+      cd_next_txn_id = 5 + id;
+      cd_strategy = "deferred";
+      cd_adaptive = [ ("kind", Printf.sprintf "k%d" id) ];
+      cd_removed = removed;
+      cd_added = added;
+    }
+  in
+  let b1 = write_full dev full in
+  (* delta 2: drop tid 2, replace tid 3, add tid 6 *)
+  let b2 = write_delta dev (delta 2 1 [ 2 ] [ row 3 31; row 6 60 ]) in
+  (* delta 3: drop tid 1 and the tid 6 delta 2 added, add tid 5, replace tid 3 again *)
+  let b3 = write_delta dev (delta 3 2 [ 1; 6 ] [ row 3 32; row 5 50 ]) in
+  [ b1; b2; b3 ]
+
+let test_chain_fold () =
+  let dev = Device.memory () in
+  let bytes = small_chain dev in
+  let row tid v = Tuple.make ~tid [| Value.Int v |] in
+  match Checkpoint.latest dev with
+  | None -> Alcotest.fail "no chain resolved"
+  | Some ch ->
+      Alcotest.(check int) "full image" 1 ch.Checkpoint.ch_full_id;
+      Alcotest.(check (list int)) "deltas, oldest first" [ 2; 3 ] ch.Checkpoint.ch_delta_ids;
+      Alcotest.(check (list int)) "bytes per image" bytes ch.Checkpoint.ch_image_bytes;
+      Alcotest.(check int) "newest op index" 20 ch.Checkpoint.ch_op_index;
+      Alcotest.(check int) "newest next txn id" 8 ch.Checkpoint.ch_next_txn_id;
+      Alcotest.(check (list (pair string string))) "newest adaptive pairs" [ ("kind", "k3") ]
+        ch.Checkpoint.ch_adaptive;
+      Alcotest.(check (list string))
+        "folded base"
+        (tid_lines [ row 3 32; row 4 40; row 5 50 ])
+        (tid_lines ch.Checkpoint.ch_base)
+
+let test_chain_falls_back () =
+  (* a corrupt delta in mid-chain: the newest intact prefix wins *)
+  let dev = Device.memory () in
+  ignore (small_chain dev);
+  corrupt_image dev 2;
+  (match Checkpoint.latest dev with
+  | Some ch ->
+      Alcotest.(check int) "prefix ends at the full image" 1 ch.Checkpoint.ch_full_id;
+      Alcotest.(check (list int)) "no deltas survive" [] ch.Checkpoint.ch_delta_ids
+  | None -> Alcotest.fail "intact prefix not found");
+  let dev = Device.memory () in
+  ignore (small_chain dev);
+  corrupt_image dev 3;
+  (match Checkpoint.latest dev with
+  | Some ch -> Alcotest.(check (list int)) "prefix keeps delta 2" [ 2 ] ch.Checkpoint.ch_delta_ids
+  | None -> Alcotest.fail "intact prefix not found");
+  (* a corrupt full image: the chain on it is lost, an older chain wins *)
+  let dev = Device.memory () in
+  ignore (write_full dev (sample_image 1));
+  let d = golden_delta () in
+  ignore (write_full dev (sample_image 2));
+  ignore (write_delta dev d);
+  corrupt_image dev 2;
+  (match Checkpoint.latest dev with
+  | Some ch ->
+      Alcotest.(check int) "older chain" 1 ch.Checkpoint.ch_full_id;
+      Alcotest.(check (list int)) "older chain has no deltas" [] ch.Checkpoint.ch_delta_ids
+  | None -> Alcotest.fail "older chain not found");
+  (* a delta whose file id disagrees with its payload never splices *)
+  let dev = Device.memory () in
+  ignore (write_full dev (sample_image 2));
+  ignore (Checkpoint.write dev ~id:4 (Checkpoint.delta_to_bytes d));
+  match Checkpoint.latest dev with
+  | Some ch -> Alcotest.(check (list int)) "misnamed delta skipped" [] ch.Checkpoint.ch_delta_ids
+  | None -> Alcotest.fail "full image not found"
 
 (* ------------------------------------------------------------------ *)
 (* Fuzzed decoders: log and image bytes never raise                    *)
@@ -522,6 +682,26 @@ let test_fuzz_image_decode () =
   let magic = String.sub (Checkpoint.to_bytes (golden_image ())) 0 8 in
   QCheck.Test.check_exn
     (QCheck.Test.make ~name:"of_bytes answers Ok or Error for every re-framed image mutant"
+       ~count:3000 (mutant_arb seeds) (fun payload ->
+         match Checkpoint.of_bytes (magic ^ Codec.frame payload) with
+         | Ok _ | Error _ -> true))
+
+let test_fuzz_delta_decode () =
+  let d = golden_delta () in
+  let seeds =
+    [
+      Checkpoint.encode_delta d;
+      Checkpoint.encode_delta
+        {
+          d with
+          Checkpoint.cd_removed = [ 1; 2; 9 ];
+          cd_added = [ mk_tuple [ Value.Float 0.5; Value.Null ]; mk_tuple [ Value.Bool true ] ];
+        };
+    ]
+  in
+  let magic = String.sub (Checkpoint.delta_to_bytes d) 0 8 in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~name:"of_bytes answers Ok or Error for every re-framed delta mutant"
        ~count:3000 (mutant_arb seeds) (fun payload ->
          match Checkpoint.of_bytes (magic ^ Codec.frame payload) with
          | Ok _ | Error _ -> true))
@@ -755,6 +935,128 @@ let test_recovery_stops_at_bit_rot () =
     | None -> -1)
 
 (* ------------------------------------------------------------------ *)
+(* Image chains written by a real run                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Checkpointing after every transaction compacts at this scale: the
+   chain's deltas outgrow the full image's pages within the run, so the
+   matrix crashes mid-chain and mid-compaction too. *)
+let compacting = Wal.config ~group_commit:2 ~checkpoint_every:1 ()
+
+let image_kinds dev =
+  List.map
+    (fun (id, _) ->
+      match Checkpoint.read dev ~id with
+      | Ok (Checkpoint.Full _, _) -> "full"
+      | Ok (Checkpoint.Delta _, _) -> "delta"
+      | Error e -> e)
+    (Checkpoint.image_files dev)
+
+(* One uncrashed run of the compacting configuration on [dev]. *)
+let compacting_run dev =
+  let spec =
+    Crash_harness.spec ~seed:42 ~config:compacting ~params:tiny
+      (Crash_harness.Static Migrate.Deferred)
+  in
+  match Crash_harness.crash_into spec ~dev ~crash_at:max_int with
+  | Ok outcome -> (spec, outcome)
+  | Error (label, _) -> Alcotest.fail ("uncrashed run crashed at " ^ label)
+
+let test_run_chain_compacts () =
+  let dev = Device.memory () in
+  let _, outcome = compacting_run dev in
+  Alcotest.(check (list string)) "image kinds, oldest first"
+    [ "full"; "delta"; "delta"; "full"; "delta"; "delta" ]
+    (image_kinds dev);
+  (* a delta carries only the changes since its parent: here one
+     transaction's two modifications *)
+  List.iter
+    (fun (id, _) ->
+      match Checkpoint.read dev ~id with
+      | Ok (Checkpoint.Delta d, _) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "delta %d holds one transaction" id)
+            true
+            (List.length d.Checkpoint.cd_removed <= 2 && List.length d.Checkpoint.cd_added <= 2)
+      | Ok (Checkpoint.Full _, _) | Error _ -> ())
+    (Checkpoint.image_files dev);
+  match Checkpoint.latest dev with
+  | None -> Alcotest.fail "no chain resolved"
+  | Some ch ->
+      Alcotest.(check int) "newest chain starts at the compaction" 4 ch.Checkpoint.ch_full_id;
+      Alcotest.(check (list int)) "and carries its deltas" [ 5; 6 ] ch.Checkpoint.ch_delta_ids;
+      (* the last transaction checkpointed, so the chain covers the run *)
+      Alcotest.(check (list string)) "folded base = Durable.base_contents"
+        outcome.Crash_harness.oc_base (tid_lines ch.Checkpoint.ch_base)
+
+let test_delta_orders_chained_updates () =
+  (* one row updated twice inside one delta's window: the fold must apply
+     the transactions in commit order *)
+  let setup = Experiment.model1_setup ~seed:17 tiny in
+  let initial = setup.Experiment.ms_dataset.Dataset.m1_tuples in
+  let ctx = Experiment.fresh_ctx tiny ~first_tid:setup.Experiment.ms_first_tid in
+  let env =
+    {
+      Strategy_sp.ctx;
+      view = setup.Experiment.ms_dataset.Dataset.m1_view;
+      initial;
+      ad_buckets = Experiment.ad_buckets_for tiny;
+    }
+  in
+  let dev = Device.memory () in
+  let d =
+    Durable.wrap ~config:(Wal.config ~checkpoint_every:2 ()) ~ctx ~dev ~initial
+      (Strategy_sp.immediate env)
+  in
+  let s = Durable.strategy d in
+  let fresh = Tuple.source ~first:900_000 () in
+  let update old_tuple =
+    let new_tuple = Tuple.with_tid old_tuple (Tuple.next fresh) in
+    s.Strategy.handle_transaction [ Strategy.modify ~old_tuple ~new_tuple ];
+    new_tuple
+  in
+  (* transactions 1-2 end in the full image, 3-4 in a delta *)
+  ignore (update (update (List.nth initial 0)));
+  ignore (update (update (List.nth initial 1)));
+  Alcotest.(check (list string)) "image kinds" [ "full"; "delta" ] (image_kinds dev);
+  match Checkpoint.latest dev with
+  | None -> Alcotest.fail "no chain resolved"
+  | Some ch ->
+      Alcotest.(check (list string)) "folded base = Durable.base_contents"
+        (tid_lines (Durable.base_contents d)) (tid_lines ch.Checkpoint.ch_base)
+
+let test_recover_past_corrupt_links () =
+  (* The run leaves chains 1 <- 2 <- 3 and 4 <- 5 <- 6.  Whichever image is
+     corrupt, recovery resolves the newest intact chain and the longer log
+     tail brings the state back to the uncrashed run's. *)
+  List.iter
+    (fun (corrupt, want_full, want_deltas) ->
+      let dev = Device.memory () in
+      let spec, reference = compacting_run dev in
+      corrupt_image dev corrupt;
+      let outcome, scan = Crash_harness.recover_on spec ~dev in
+      (match scan.Recovery.sc_image with
+      | Some ch ->
+          Alcotest.(check (pair int (list int)))
+            (Printf.sprintf "chain with image %d corrupt" corrupt)
+            (want_full, want_deltas)
+            (ch.Checkpoint.ch_full_id, ch.Checkpoint.ch_delta_ids)
+      | None -> Alcotest.fail "no chain resolved");
+      Alcotest.(check (list string))
+        (Printf.sprintf "state with image %d corrupt = uncrashed state" corrupt)
+        (Crash_harness.state_lines reference) (Crash_harness.state_lines outcome))
+    [
+      (1, 4, [ 5; 6 ]);
+      (2, 4, [ 5; 6 ]);
+      (3, 4, [ 5; 6 ]);
+      (* the compacting full image: back to the older chain *)
+      (4, 1, [ 2; 3 ]);
+      (* a delta in mid-chain: the intact prefix *)
+      (5, 4, []);
+      (6, 4, [ 5 ]);
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Crash equivalence: the headline property                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -769,10 +1071,9 @@ let check_matrix spec =
   m
 
 let test_crash_matrix_all_strategies () =
-  let config = Wal.config ~group_commit:2 ~checkpoint_every:3 () in
   List.iter
     (fun kind ->
-      ignore (check_matrix (Crash_harness.spec ~seed:42 ~config ~params:tiny kind)))
+      ignore (check_matrix (Crash_harness.spec ~seed:42 ~config:compacting ~params:tiny kind)))
     Crash_harness.all_kinds
 
 let test_crash_matrix_labels () =
@@ -857,12 +1158,18 @@ let suites =
         Alcotest.test_case "image round-trip" `Quick test_checkpoint_roundtrip;
         Alcotest.test_case "image golden bytes" `Quick test_checkpoint_golden_bytes;
         Alcotest.test_case "latest skips corrupt" `Quick test_checkpoint_latest_skips_corrupt;
+        Alcotest.test_case "delta round-trip" `Quick test_delta_roundtrip;
+        Alcotest.test_case "delta golden bytes" `Quick test_delta_golden_bytes;
+        Alcotest.test_case "delta rejects malformed lists" `Quick test_delta_rejects_malformed;
+        Alcotest.test_case "chain fold" `Quick test_chain_fold;
+        Alcotest.test_case "chain falls back past corrupt links" `Quick test_chain_falls_back;
         Alcotest.test_case "hr rebuild_filter" `Quick test_rebuild_filter;
       ] );
     ( "wal-fuzz",
       [
         Alcotest.test_case "record scan never raises (qcheck)" `Quick test_fuzz_record_scan;
         Alcotest.test_case "image decode never raises (qcheck)" `Quick test_fuzz_image_decode;
+        Alcotest.test_case "delta decode never raises (qcheck)" `Quick test_fuzz_delta_decode;
       ] );
     ( "wal-recovery",
       [
@@ -870,6 +1177,10 @@ let suites =
         Alcotest.test_case "clean restart" `Quick test_clean_restart;
         Alcotest.test_case "torn tail truncated" `Quick test_recovery_truncates_torn_tail;
         Alcotest.test_case "bit rot stops replay" `Quick test_recovery_stops_at_bit_rot;
+        Alcotest.test_case "run writes a compacting chain" `Quick test_run_chain_compacts;
+        Alcotest.test_case "delta orders chained updates" `Quick test_delta_orders_chained_updates;
+        Alcotest.test_case "recovery past corrupt chain links" `Quick
+          test_recover_past_corrupt_links;
       ] );
     ( "wal-crash-equivalence",
       [
