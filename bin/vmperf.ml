@@ -338,7 +338,7 @@ let simulate_cmd =
     Format.printf "simulating at N = %.0f, P = %.3f, seed %d%s@." p.Params.n_tuples
       (Params.update_probability p) seed
       (if Option.is_none wrap then "" else ", durability wal");
-    let alloc0 = if alloc_stats then Gc.allocated_bytes () else 0. in
+    let alloc0 = if alloc_stats then Alloc_meter.bytes () else 0. in
     let results =
       match model_of_int model with
       | Advisor.Selection_projection ->
@@ -352,7 +352,7 @@ let simulate_cmd =
           Experiment.measure_model3 ~seed ?recorder ?sanitize ?wrap p
             (filter_only only [ `Deferred; `Immediate; `Recompute ])
     in
-    let alloc_delta = if alloc_stats then Gc.allocated_bytes () -. alloc0 else 0. in
+    let alloc_delta = if alloc_stats then Alloc_meter.bytes () -. alloc0 else 0. in
     let category_names =
       List.filter (fun c -> c <> Cost_meter.Base) Cost_meter.all_categories
     in

@@ -101,11 +101,13 @@ let storage_roots =
   ]
 
 (* The cursor-yielding iterators: a lambda passed directly to one of these
-   receives a borrowed Tuple_view.t as its first parameter.  (Btree.range
-   and Materialized.range yield *boxed* rows and are deliberately absent.) *)
+   receives a borrowed Tuple_view.t as its first parameter.  (Btree.range,
+   Materialized.range and Materialized.answer hand out *boxed* rows and are
+   deliberately absent.) *)
 let cursor_iterators =
   [
     "Btree.range_views";
+    "Btree.range_rows";
     "Btree.find_views";
     "Btree.iter_views_unmetered";
     "Hash_file.scan_views";
@@ -114,6 +116,11 @@ let cursor_iterators =
     "Heap_file.scan_views";
     "Heap_file.iter_views_unmetered";
   ]
+
+(* The cursor collectors: iterators that keep each callback result in the
+   list they return, so a row function's result must not be, or capture,
+   its cursor (D8). *)
+let cursor_collectors = [ "Btree.range_rows" ]
 
 (* Stdlib calls that store an argument into a longer-lived container. *)
 let store_models =
@@ -504,11 +511,12 @@ let rec eval acc bindings expr =
              exposure (any tracked occurrence), no sinks. *)
           occurs bindings expr)
 
-and eval_lambda acc bindings ~cursor_hint params body =
+and eval_lambda ?kept acc bindings ~cursor_hint params body =
   (* A lambda: analyze the body with its own parameters tracked — a
      parameter is tracked as a cursor when this lambda is the direct
      callback of a cursor iterator (hint, first parameter) or when the body
-     itself uses it as a cursor. *)
+     itself uses it as a cursor.  [kept] names the cursor collector that
+     keeps the body's result: a cursor in that result escapes. *)
   let b' =
     List.fold_left
       (fun (b, idx) p ->
@@ -523,7 +531,16 @@ and eval_lambda acc bindings ~cursor_hint params body =
       (bindings, 0) params
     |> fst
   in
-  ignore (eval acc b' body);
+  let result = eval acc b' body in
+  Option.iter
+    (fun collector ->
+      (* Applied to its cursor alone, a curried row function returns a
+         closure over every binding its body uses. *)
+      let kept_value = match params with [ _ ] -> result | _ -> occurs b' body in
+      sink acc ~loc:body.pexp_loc
+        (List.filter (fun t -> t.k_cursor) kept_value)
+        (Printf.sprintf "is returned by a row function whose results %s keeps" collector))
+    kept;
   (* The lambda's value exposure: the tracked bindings it captures. *)
   let shadowless =
     List.fold_left
@@ -609,7 +626,8 @@ and apply_path acc bindings ~loc path args =
               end
               else
                 let hint = is_member member cursor_iterators in
-                apply_resolved acc bindings ~loc ~hint path args))
+                let kept = if is_member member cursor_collectors then Some member else None in
+                apply_resolved acc bindings ~loc ~hint ?kept path args))
 
 (* Re-dispatch for @@ / |> with the real head. *)
 and re_apply acc bindings ~loc f args =
@@ -620,14 +638,31 @@ and re_apply acc bindings ~loc f args =
       let ax = List.map (fun (_, a) -> eval acc bindings a) args in
       unions (hx :: ax)
 
-and apply_resolved acc bindings ~loc ~hint path args =
+and apply_resolved acc bindings ~loc ~hint ?kept path args =
   (* Evaluate arguments — lambdas handed to a cursor iterator get their
-     first parameter tracked as a borrowed cursor. *)
+     first parameter tracked as a borrowed cursor.  A named row function
+     handed to a cursor collector must not return its cursor argument. *)
   let eval_arg a =
     match Lambda.destructure a with
     | Lambda.Lambda (params, body) when hint ->
-        eval_lambda acc bindings ~cursor_hint:true params body
-    | _ -> eval acc bindings a
+        eval_lambda ?kept acc bindings ~cursor_hint:true params body
+    | _ ->
+        (match (kept, Ast_util.applied_path a) with
+        | Some collector, Some fpath -> (
+            match Callgraph.resolve acc.a_scope fpath with
+            | `Fn key -> (
+                match find acc.a_env key with
+                | Some info when Array.length info.i_returns > 0 && info.i_returns.(0) ->
+                    acc.a_report ~loc:a.pexp_loc
+                      (Printf.sprintf
+                         "row function %s returns its borrowed cursor, and %s keeps \
+                          every result: box the row at the boundary \
+                          (Tuple_view.materialize / counted_row) instead"
+                         info.i_key collector)
+                | _ -> ())
+            | _ -> ())
+        | _ -> ());
+        eval acc bindings a
   in
   match Callgraph.resolve acc.a_scope path with
   | `Fn key -> (

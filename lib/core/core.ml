@@ -24,6 +24,7 @@
     - {!Span}, {!Trace}, {!Metrics}, {!Recorder}, {!Json_text} — the
       zero-dependency observability layer (Chrome-trace spans, Prometheus
       metrics) threaded through every layer above via the cost meter;
+      {!Alloc_meter} is its word-exact allocation bracket;
     - {!Codec}, {!Fault}, {!Device}, {!Wal_record}, {!Wal}, {!Checkpoint},
       {!Durable}, {!Recovery}, {!Crash_harness} — the durability subsystem:
       write-ahead logging, checkpoints, ARIES-lite crash recovery, and
@@ -56,6 +57,7 @@ module Json_text = Vmat_obs.Json_text
 module Flight = Vmat_obs.Flight
 module Sketch = Vmat_obs.Sketch
 module Dash = Vmat_obs.Dash
+module Alloc_meter = Vmat_obs.Alloc_meter
 module Value = Vmat_storage.Value
 module Schema = Vmat_storage.Schema
 module Tuple = Vmat_storage.Tuple

@@ -296,18 +296,14 @@ let scan_ancestor t ~(anc : node_rt) ~(m : Materialized.t) (def : View_def.sp)
 
 let answer_node t idx (q : Strategy.query) =
   let rt = t.nodes.(idx) in
-  let out = ref [] in
-  (match rt.mat with
-  | Some mat ->
-      Materialized.range mat ~lo:q.q_lo ~hi:q.q_hi (fun tuple count ->
-          Cost_meter.charge_predicate_test t.meter;
-          out := (tuple, count) :: !out);
-      Buffer_pool.invalidate (Materialized.pool mat)
-  | None -> (
-      match mat_ancestor t idx with
+  match rt.mat with
+  | Some mat -> Materialized.answer mat ~meter:t.meter ~lo:q.q_lo ~hi:q.q_hi
+  | None ->
+      let out = ref [] in
+      (match mat_ancestor t idx with
       | Some (anc, m) -> scan_ancestor t ~anc ~m rt.node.nd_def ~q (fun row -> out := row :: !out)
-      | None -> scan_base t rt.node.nd_def ~q (fun row -> out := row :: !out)));
-  List.rev !out
+      | None -> scan_base t rt.node.nd_def ~q (fun row -> out := row :: !out));
+      List.rev !out
 
 (* ------------------------------------------------------------------ *)
 (* Advisor wiring                                                      *)

@@ -242,37 +242,61 @@ let update_in_place t ~key ~tid f =
   if found then Buffer_pool.write t.pool leaf.l_pid;
   found
 
-(* Walk the leaf chain from [start], aiming [view] at rows whose key lies in
-   [lo, hi]; stops at the first row with key > hi.  Slot order is (key, tid)
-   order, so this visits rows exactly as the historical sorted-list walk
-   did. *)
-let walk_range_views t start ~lo ~hi view f =
-  let rec walk leaf_opt =
-    match leaf_opt with
-    | None -> ()
-    | Some leaf ->
-        Buffer_pool.read t.pool leaf.l_pid;
-        let n = Flat.length leaf.l_rows in
-        let rec slots slot =
-          if slot >= n then true
-          else if Flat.compare_cell_value leaf.l_rows slot t.key_col hi > 0 then false
-          else begin
-            if Flat.compare_cell_value leaf.l_rows slot t.key_col lo >= 0 then begin
-              Tuple_view.set view leaf.l_rows slot;
-              f view
-            end;
-            slots (slot + 1)
-          end
-        in
-        if slots 0 then walk leaf.l_next
-  in
-  walk (Some start)
+(* The one range walk.  From the leftmost leaf that may hold [lo], read
+   (and charge) each leaf before looking at its rows, and hand [run] the
+   leaf's slots [first, stop) whose key lies in [lo, hi].  [lo] is tested
+   only until the first row at or above it, and the walk ends at the first
+   row above [hi].  Slot order is (key, tid) order, so rows come exactly as
+   the historical sorted-list walk visited them. *)
+let walk_range t ~lo ~hi run =
+  if Value.compare lo hi <= 0 then begin
+    let rec seek rows n slot =
+      if slot < n && Flat.compare_cell_value rows slot t.key_col lo < 0 then seek rows n (slot + 1)
+      else slot
+    in
+    let rec stop_at rows n slot =
+      if slot < n && Flat.compare_cell_value rows slot t.key_col hi <= 0 then
+        stop_at rows n (slot + 1)
+      else slot
+    in
+    let rec walk leaf ~seeking =
+      Buffer_pool.read t.pool leaf.l_pid;
+      let rows = leaf.l_rows in
+      let n = Flat.length rows in
+      let first = if seeking then seek rows n 0 else 0 in
+      let stop = stop_at rows n first in
+      if first < stop then run rows first stop;
+      match leaf.l_next with
+      | Some next when stop = n -> walk next ~seeking:(first = n)
+      | _ -> ()
+    in
+    walk (leaf_for t t.root (lo, Int.min_int)) ~seeking:true
+  end
 
 let range_views t ~lo ~hi f =
-  if Value.compare lo hi <= 0 then begin
-    let start = leaf_for t t.root (lo, Int.min_int) in
-    walk_range_views t start ~lo ~hi (Tuple_view.on (Flat.create ()) 0) f
+  walk_range t ~lo ~hi (fun rows first stop ->
+      let view = Tuple_view.on rows first in
+      for slot = first to stop - 1 do
+        Tuple_view.set_slot view slot;
+        f view
+      done)
+
+(* Cons [f] of the rows at slots [first, slot] onto [acc], last row first. *)
+let rec box_run view f first slot acc =
+  if slot < first then acc
+  else begin
+    Tuple_view.set_slot view slot;
+    box_run view f first (slot - 1) (f view :: acc)
   end
+
+(* The walk's runs are kept newest first, so boxing them back to front
+   conses each result once, straight into key order. *)
+let range_rows t ~lo ~hi f =
+  let runs = ref [] in
+  walk_range t ~lo ~hi (fun rows first stop -> runs := (rows, first, stop) :: !runs);
+  List.fold_left
+    (fun acc (rows, first, stop) -> box_run (Tuple_view.on rows first) f first (stop - 1) acc)
+    [] !runs
 
 let range t ~lo ~hi f = range_views t ~lo ~hi (fun view -> f (Tuple_view.materialize view))
 

@@ -66,6 +66,13 @@ val range : t -> lo:Value.t -> hi:Value.t -> (Tuple.t -> unit) -> unit
 val range_views : t -> lo:Value.t -> hi:Value.t -> (Tuple_view.t -> unit) -> unit
 (** {!range} without boxing (reused cursor, same charges and order). *)
 
+val range_rows : t -> lo:Value.t -> hi:Value.t -> (Tuple_view.t -> 'a) -> 'a list
+(** [f]'s result for every row with [lo <= key <= hi], in key order, each
+    consed once (no reversal).  Same walk and page-read charges as
+    {!range_views}, but every leaf is read before [f] runs, and [f] is
+    applied back to front (last row first) on a cursor valid only during the
+    call: its result must not be, or capture, the cursor. *)
+
 val iter_unmetered : t -> (Tuple.t -> unit) -> unit
 (** In-order iteration without any charge (tests and verification). *)
 

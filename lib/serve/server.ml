@@ -392,10 +392,10 @@ let run ?(config = default_config) ?recorder ?sanitize ?(seed = 42) ?on_snapshot
               incr frames
           | _ -> ()
         in
-        (* Gc.allocated_bytes is domain-local in OCaml 5, so this delta is
-           exactly the writer's own allocation over the serving loop —
-           including snapshot publication, but nothing any reader does. *)
-        let alloc0 = Gc.allocated_bytes () in
+        (* The meter is word-exact and domain-local, so this delta is the
+           writer's own allocation over the serving loop, snapshot
+           publication included, and nothing any reader does. *)
+        let alloc0 = Vmat_obs.Alloc_meter.bytes () in
         let sw_writer = Wallclock.start () in
         let txns, epochs =
           apply_txns engine ~publish_every:config.publish_every
@@ -471,7 +471,7 @@ let run ?(config = default_config) ?recorder ?sanitize ?(seed = 42) ?on_snapshot
           wo_ring = ring;
           wo_sketch = sketch;
           wo_frames = !frames;
-          wo_alloc_bytes = Gc.allocated_bytes () -. alloc0;
+          wo_alloc_bytes = Vmat_obs.Alloc_meter.bytes () -. alloc0;
         })
   in
   let reader idx rseed () =
@@ -492,7 +492,7 @@ let run ?(config = default_config) ?recorder ?sanitize ?(seed = 42) ?on_snapshot
       else None
     in
     let lats = ref [] and obs = ref [] in
-    let alloc0 = Gc.allocated_bytes () in
+    let alloc0 = Vmat_obs.Alloc_meter.bytes () in
     for s = 0 to config.queries_per_reader - 1 do
       let q = Stream.range_query_of ~lo_max ~width rng in
       (match sketch with
@@ -544,7 +544,7 @@ let run ?(config = default_config) ?recorder ?sanitize ?(seed = 42) ?on_snapshot
       ro_obs = List.rev !obs;
       ro_ring = ring;
       ro_sketch = sketch;
-      ro_alloc_bytes = Gc.allocated_bytes () -. alloc0;
+      ro_alloc_bytes = Vmat_obs.Alloc_meter.bytes () -. alloc0;
     }
   in
   let readers = List.mapi (fun i s -> Domain.spawn (reader i s)) reader_seeds in

@@ -104,9 +104,9 @@ type report = {
   r_key_skew : float;
   r_key_error_bound : float;
   r_writer_alloc_bytes : float;
-      (** GC bytes allocated on the writer domain over the serving loop
-          ([Gc.allocated_bytes] delta; domain-local in OCaml 5, so reader
-          work never leaks in).  Deterministic for a deterministic
+      (** Bytes allocated on the writer domain over the serving loop
+          ({!Vmat_obs.Alloc_meter} delta: word-exact and domain-local, so
+          reader work never leaks in).  Deterministic for a deterministic
           workload — the allocation axis of the flat-tuple hot paths. *)
   r_writer_alloc_per_txn : float;
   r_reader_alloc_bytes : float;

@@ -392,18 +392,43 @@ let row_value_key p i =
 (* Materialization (the sanctioned boxing boundary)                     *)
 (* ------------------------------------------------------------------ *)
 
+let tid_of_row p off = Int64.to_int (Bytes.get_int64_le p.buf (off + 4))
+
+(* The first [n] cells of the row at [off], boxed with no per-row closure:
+   narrow rows (view rows are a few columns wide) are array literals, so the
+   only allocation is the array itself plus its boxed cells. *)
+let cells p off n =
+  match n with
+  | 0 -> [||]
+  | 1 -> [| value_of_cell p off 0 |]
+  | 2 -> [| value_of_cell p off 0; value_of_cell p off 1 |]
+  | 3 -> [| value_of_cell p off 0; value_of_cell p off 1; value_of_cell p off 2 |]
+  | _ ->
+      let values = Array.make n Value.Null in
+      for col = 0 to n - 1 do
+        Array.unsafe_set values col (value_of_cell p off col)
+      done;
+      values
+
 let materialize p i =
   let off = slot_off p i in
-  let n = Bytes.get_uint16_le p.buf (off + 12) in
-  Tuple.make
-    ~tid:(Int64.to_int (Bytes.get_int64_le p.buf (off + 4)))
-    (Array.init n (fun col -> value_of_cell p off col))
+  Tuple.make ~tid:(tid_of_row p off) (cells p off (Bytes.get_uint16_le p.buf (off + 12)))
 
 let materialize_prefix p i n ~tid =
   let off = slot_off p i in
   let arity = Bytes.get_uint16_le p.buf (off + 12) in
   if n > arity then invalid_arg "Flat.materialize_prefix: prefix longer than row";
-  Tuple.make ~tid (Array.init n (fun col -> value_of_cell p off col))
+  Tuple.make ~tid (cells p off n)
+
+let counted_row p i =
+  let off = slot_off p i in
+  let n = Bytes.get_uint16_le p.buf (off + 12) - 1 in
+  if n < 0 then invalid_arg "Flat.counted_row: row has no count cell";
+  let c = cell_off off n in
+  if Bytes.get_uint8 p.buf c <> tag_int then
+    invalid_arg "Flat.counted_row: count is not an Int cell";
+  ( Tuple.make ~tid:(tid_of_row p off) (cells p off n),
+    Int64.to_int (Bytes.get_int64_le p.buf (c + 1)) )
 
 let project p i positions ~tid =
   let off = slot_off p i in

@@ -88,6 +88,14 @@ val materialize_prefix : t -> int -> int -> tid:int -> Tuple.t
 (** First [n] cells under the given tid (Hr entries strip their three
     bookkeeping columns this way). *)
 
+val counted_row : t -> int -> Tuple.t * int
+(** A stored view row (its fields plus a trailing [Int] count, DESIGN §12.3)
+    as the answer pair: the first [arity - 1] cells under the row's own tid,
+    and the count.  One slot lookup; the only allocations are the pair, the
+    tuple, its cell array and the boxed cells.
+    @raise Invalid_argument if the row is empty or the last cell is not an
+    [Int]. *)
+
 val project : t -> int -> int array -> tid:int -> Tuple.t
 (** The cells at [positions] (in order) under the given tid — a fused
     [Tuple.project]+[Tuple.with_tid] with a single allocation per survivor. *)

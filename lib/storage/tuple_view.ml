@@ -60,4 +60,5 @@ let key_string_col v col = Flat.cell_key_string v.page v.slot col
 
 let materialize v = Flat.materialize v.page v.slot
 let materialize_prefix v n ~tid = Flat.materialize_prefix v.page v.slot n ~tid
+let counted_row v = Flat.counted_row v.page v.slot
 let project v positions ~tid = Flat.project v.page v.slot positions ~tid

@@ -47,3 +47,7 @@ val materialize : t -> Tuple.t
 
 val materialize_prefix : t -> int -> tid:int -> Tuple.t
 val project : t -> int array -> tid:int -> Tuple.t
+
+val counted_row : t -> Tuple.t * int
+(** {!Flat.counted_row} at the cursor: a stored view row boxed as its
+    (tuple, count) answer pair. *)

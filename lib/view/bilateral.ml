@@ -146,15 +146,6 @@ let base_apply store index_add index_remove ~deletes:(d1, d2) ~inserts:(a1, a2) 
       List.iter (Hash_file.insert store.r2) a2;
       Buffer_pool.invalidate (Btree.pool store.r1))
 
-let answer_from store mat (q : Strategy.query) =
-  Cost_meter.with_category store.meter Cost_meter.Query (fun () ->
-      let out = ref [] in
-      Materialized.range mat ~lo:q.q_lo ~hi:q.q_hi (fun tuple count ->
-          Cost_meter.charge_predicate_test store.meter;
-          out := (tuple, count) :: !out);
-      Buffer_pool.invalidate (Materialized.pool mat);
-      List.rev !out)
-
 let make_materialized (env : Strategy_join.env) =
   let ctx = env.Strategy_join.ctx in
   let geometry = Ctx.geometry ctx in
@@ -204,7 +195,7 @@ let immediate env =
   {
     name = "bilateral-immediate";
     handle;
-    answer = (fun q -> answer_from store mat q);
+    answer = (fun q -> Materialized.answer mat ~meter:store.meter ~lo:q.Strategy.q_lo ~hi:q.q_hi);
     contents = (fun () -> Materialized.to_bag_unmetered mat);
   }
 
@@ -237,7 +228,7 @@ let blakeley env =
   {
     name = "bilateral-blakeley";
     handle;
-    answer = (fun q -> answer_from store mat q);
+    answer = (fun q -> Materialized.answer mat ~meter:store.meter ~lo:q.Strategy.q_lo ~hi:q.q_hi);
     contents = (fun () -> Materialized.to_bag_unmetered mat);
   }
 

@@ -84,6 +84,16 @@ let range t ~lo ~hi f =
       let n = Tuple_view.arity v - 1 in
       f (Tuple_view.materialize_prefix v n ~tid:(Tuple_view.tid v)) (Tuple_view.get_int v n))
 
+let answer t ~meter ~lo ~hi =
+  Cost_meter.with_category meter Cost_meter.Query (fun () ->
+      let rows =
+        Btree.range_rows t.tree ~lo ~hi (fun v ->
+            Cost_meter.charge_predicate_test meter;
+            Tuple_view.counted_row v)
+      in
+      flush t;
+      rows)
+
 let rebuild t bag =
   (* Truncation is a metadata operation (uncharged); bulk-loading the
      recomputed contents packs pages full (the paper's assumption) and

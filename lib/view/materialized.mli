@@ -49,6 +49,15 @@ val range : t -> lo:Value.t -> hi:Value.t -> (Tuple.t -> int -> unit) -> unit
     tuple (count stripped) and its duplicate count.  Charges one read per
     page and the index descent; per-tuple [C1] is charged by the caller. *)
 
+val answer :
+  t -> meter:Cost_meter.t -> lo:Value.t -> hi:Value.t -> (Tuple.t * int) list
+(** The answer kernel: every view tuple with [lo <= cluster <= hi] and its
+    duplicate count, in key order — the rows, order, tids and counts
+    {!range} yields.  Runs in the [Query] category: charges the index
+    descent and one read per page, in {!range}'s order, plus one [C1] per
+    returned row, then drops the view's pool.  Each row is boxed once
+    ({!Tuple_view.counted_row}) and consed once. *)
+
 val rebuild : t -> Bag.t -> unit
 (** Replace the contents wholesale (full-recompute strategies).  Charges the
     writes of every page of the new contents. *)

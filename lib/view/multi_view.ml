@@ -142,14 +142,7 @@ let state_of t view =
 
 let answer_query t ~view (q : Strategy.query) =
   refresh_all t;
-  let state = state_of t view in
-  Cost_meter.with_category t.meter Cost_meter.Query (fun () ->
-      let out = ref [] in
-      Materialized.range state.mat ~lo:q.q_lo ~hi:q.q_hi (fun tuple count ->
-          Cost_meter.charge_predicate_test t.meter;
-          out := (tuple, count) :: !out);
-      Buffer_pool.invalidate (Materialized.pool state.mat);
-      List.rev !out)
+  Materialized.answer (state_of t view).mat ~meter:t.meter ~lo:q.q_lo ~hi:q.q_hi
 
 let refreshes t = t.refreshes
 

@@ -68,16 +68,6 @@ let probe env r2 m left_tuple =
     (fun right_tuple -> join_output env left_tuple right_tuple)
     (Hash_file.lookup r2 (Tuple.get left_tuple env.view.j_left_col))
 
-let answer_from_materialized env mat (q : Strategy.query) =
-  let m = meter env in
-  Cost_meter.with_category m Cost_meter.Query (fun () ->
-      let out = ref [] in
-      Materialized.range mat ~lo:q.q_lo ~hi:q.q_hi (fun tuple count ->
-          Cost_meter.charge_predicate_test m;
-          out := (tuple, count) :: !out);
-      Buffer_pool.invalidate (Materialized.pool mat);
-      List.rev !out)
-
 let logical_view env left_tuples =
   Delta.recompute_join ~tids:(tids env) env.view left_tuples env.initial_right
 
@@ -136,7 +126,7 @@ let deferred env =
     answer_query =
       (fun q ->
         refresh ();
-        answer_from_materialized env mat q);
+        Materialized.answer mat ~meter:(meter env) ~lo:q.Strategy.q_lo ~hi:q.q_hi);
     scalar_query = Strategy.no_scalar;
     view_contents =
       (fun () ->
@@ -207,7 +197,8 @@ let immediate env =
   {
     Strategy.name = "immediate";
     handle_transaction;
-    answer_query = (fun q -> answer_from_materialized env mat q);
+    answer_query =
+      (fun q -> Materialized.answer mat ~meter:(meter env) ~lo:q.Strategy.q_lo ~hi:q.q_hi);
     scalar_query = Strategy.no_scalar;
     view_contents = (fun () -> Materialized.to_bag_unmetered mat);
   }

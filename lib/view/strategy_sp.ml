@@ -46,16 +46,6 @@ let make_materialized env =
 let make_screen env =
   Screen.create ~meter:(meter env) ~view_name:env.view.sp_name ~pred:env.view.sp_pred ()
 
-let answer_from_materialized env mat (q : Strategy.query) =
-  let m = meter env in
-  Cost_meter.with_category m Cost_meter.Query (fun () ->
-      let out = ref [] in
-      Materialized.range mat ~lo:q.q_lo ~hi:q.q_hi (fun tuple count ->
-          Cost_meter.charge_predicate_test m;
-          out := (tuple, count) :: !out);
-      Buffer_pool.invalidate (Materialized.pool mat);
-      List.rev !out)
-
 (* The readily-ignorable-update test of [Bune79], applied per change: a
    modification that writes no column the view reads (predicate columns or
    projected columns) cannot change the view, so it needs neither stage-2
@@ -190,7 +180,7 @@ let deferred_with_policy_internal ?layout ~policy ~name env =
     (match policy with
     | On_demand | Periodic_and_on_demand _ -> refresh ()
     | Periodic_only _ -> () (* snapshots serve the last refreshed state *));
-    answer_from_materialized env mat q
+    Materialized.answer mat ~meter:(meter env) ~lo:q.Strategy.q_lo ~hi:q.q_hi
   in
   ( {
       Strategy.name;
@@ -322,7 +312,8 @@ let immediate env =
   {
     Strategy.name = "immediate";
     handle_transaction;
-    answer_query = (fun q -> answer_from_materialized env mat q);
+    answer_query =
+      (fun q -> Materialized.answer mat ~meter:(meter env) ~lo:q.Strategy.q_lo ~hi:q.q_hi);
     scalar_query = Strategy.no_scalar;
     view_contents = (fun () -> Materialized.to_bag_unmetered mat);
   }
@@ -557,7 +548,7 @@ let recompute env =
     answer_query =
       (fun q ->
         refresh_if_needed ();
-        answer_from_materialized env mat q);
+        Materialized.answer mat ~meter:(meter env) ~lo:q.Strategy.q_lo ~hi:q.q_hi);
     scalar_query = Strategy.no_scalar;
     view_contents =
       (fun () ->

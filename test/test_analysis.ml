@@ -245,6 +245,36 @@ let test_d8_silent () =
      let count base n =\n\
     \  Heap_file.scan_views base (fun v -> if wide v then incr n)"
 
+(* A cursor collector keeps every row function result in the list it
+   returns: a result that is, holds or captures the cursor escapes. *)
+let test_d8_collector_fires () =
+  check_fires ~what:"row function returns the cursor" ~rule:"D8"
+    "let rows base lo hi = Btree.range_rows base ~lo ~hi (fun v -> v)";
+  check_fires ~what:"row function pairs the cursor" ~rule:"D8"
+    "let rows base lo hi =\n\
+    \  Btree.range_rows base ~lo ~hi (fun v -> (v, Tuple_view.get_int v 1))";
+  check_fires ~what:"row function returns a closure over the cursor" ~rule:"D8"
+    "let rows base lo hi =\n\
+    \  Btree.range_rows base ~lo ~hi (fun v -> fun () -> Tuple_view.tid v)";
+  check_fires ~what:"named row function returns its cursor" ~rule:"D8"
+    "let keep v = (v, 1)\n\
+     let rows base lo hi = Btree.range_rows base ~lo ~hi keep"
+
+let test_d8_collector_silent () =
+  check_silent ~what:"row function boxes the answer pair"
+    "let rows base lo hi =\n\
+    \  Btree.range_rows base ~lo ~hi (fun v -> Tuple_view.counted_row v)";
+  check_silent ~what:"row function boxes and reads"
+    "let rows base lo hi =\n\
+    \  Btree.range_rows base ~lo ~hi (fun v ->\n\
+    \      (Tuple_view.materialize v, Tuple_view.get_int v 1))";
+  check_silent ~what:"named row function boxes"
+    "let box v = Tuple_view.counted_row v\n\
+     let rows base lo hi = Btree.range_rows base ~lo ~hi box";
+  check_silent ~what:"row function returns a captured non-cursor"
+    "let rows base lo hi tag =\n\
+    \  Btree.range_rows base ~lo ~hi (fun v -> (tag, Tuple_view.tid v))"
+
 (* The summary fixpoint terminates on mutual recursion (the pass cap is a
    backstop, not the convergence argument) and the converged summaries stay
    precise: the mutually-recursive pair only boxes, so nothing fires. *)
@@ -486,6 +516,8 @@ let suites =
           test_case "D8 silent" `Quick test_d8_silent;
           test_case "D8 mutual-recursion fixpoint" `Quick
             test_d8_mutual_recursion_fixpoint;
+          test_case "D8 collector fires" `Quick test_d8_collector_fires;
+          test_case "D8 collector silent" `Quick test_d8_collector_silent;
           test_case "D9 fires" `Quick test_d9_fires;
           test_case "D9 silent" `Quick test_d9_silent;
           test_case "D10 fires" `Quick test_d10_fires;

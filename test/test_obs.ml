@@ -789,6 +789,58 @@ let test_prometheus_escaping () =
     (List.assoc_opt "key" labels)
 
 (* ------------------------------------------------------------------ *)
+(* Allocation meter                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* [rounds] minor-heap blocks of 100 words each, then one block of
+   [major + 1] words, allocated directly in the major heap. *)
+let allocate_words ~rounds ~major =
+  for _ = 1 to rounds do
+    ignore (Sys.opaque_identity (Array.make 99 0))
+  done;
+  ignore (Sys.opaque_identity (Array.make major 0));
+  float_of_int ((rounds * 100) + major + 1)
+
+(* The meter's own words in one bracket: one [Gc.counters] result and the
+   boxed floats it returns. *)
+let meter_slack = 64.
+
+let test_alloc_meter_exact () =
+  let w0 = Alloc_meter.words () in
+  let expected = allocate_words ~rounds:30 ~major:5_000 in
+  let got = Alloc_meter.words () -. w0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words read as %.0f" expected got)
+    true
+    (got >= expected && got <= expected +. meter_slack);
+  let word = float_of_int (Sys.word_size / 8) in
+  let b0 = Alloc_meter.bytes () in
+  let expected = word *. allocate_words ~rounds:30 ~major:0 in
+  let got = Alloc_meter.bytes () -. b0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f bytes read as %.0f" expected got)
+    true
+    (got >= expected && got <= expected +. (word *. meter_slack))
+
+let test_alloc_meter_domain_local () =
+  let main0 = Alloc_meter.words () in
+  let expected, got =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let w0 = Alloc_meter.words () in
+           let expected = allocate_words ~rounds:1000 ~major:50_000 in
+           (expected, Alloc_meter.words () -. w0)))
+  in
+  let main_moved = Alloc_meter.words () -. main0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "spawned domain: %.0f words read as %.0f" expected got)
+    true
+    (got >= expected && got <= expected +. meter_slack);
+  (* The main domain pays only for spawning and joining. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "main domain moved %.0f words" main_moved)
+    true
+    (main_moved < 2_000.)
 
 let qcheck = List.map QCheck_alcotest.to_alcotest
 
@@ -821,6 +873,11 @@ let suites =
         Alcotest.test_case "prometheus conformance (serving)" `Quick
           test_prometheus_conformance;
         Alcotest.test_case "prometheus label escaping" `Quick test_prometheus_escaping;
+      ] );
+    ( "obs: alloc meter",
+      [
+        Alcotest.test_case "word-exact" `Quick test_alloc_meter_exact;
+        Alcotest.test_case "domain-local" `Quick test_alloc_meter_domain_local;
       ] );
     ( "obs: integration",
       Alcotest.test_case "observer effect is zero" `Quick test_observer_effect

@@ -168,6 +168,149 @@ let test_mat_write_coalescing () =
   Alcotest.(check int) "one page write" 1 (Disk.physical_writes disk - writes0)
 
 (* ------------------------------------------------------------------ *)
+(* The answer kernel                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* The per-query loop the kernel replaced, kept as its reference:
+   [Materialized.range] in the Query category, one C1 per row, consed and
+   reversed, then the view's pool dropped. *)
+let reference_answer mat ~meter ~lo ~hi =
+  Cost_meter.with_category meter Cost_meter.Query (fun () ->
+      let out = ref [] in
+      Materialized.range mat ~lo ~hi (fun tuple count ->
+          Cost_meter.charge_predicate_test meter;
+          out := (tuple, count) :: !out);
+      Materialized.flush mat;
+      List.rev !out)
+
+(* Rows as plain data: tid, field values, count. *)
+let rows_data rows =
+  List.map (fun (tuple, count) -> (Tuple.tid tuple, Array.to_list (Tuple.values tuple), count)) rows
+
+(* Run [f], returning its result and the charges it made: Query reads,
+   writes and C1 tests, physical reads, and pool hits and misses. *)
+let with_charges meter disk f =
+  let probe () =
+    Cost_meter.
+      [
+        reads meter Query;
+        writes meter Query;
+        predicate_tests meter Query;
+        Disk.physical_reads disk;
+        Disk.pool_hits disk;
+        Disk.pool_misses disk;
+      ]
+  in
+  let before = probe () in
+  let result = f () in
+  (result, List.map2 ( - ) (probe ()) before)
+
+type kernel_op = Ins of int * int | Del of int | Bump of int
+
+(* Keys are quarters in [0, 2.75] (12 distinct keys, many rows each);
+   bounds range over every key, the midpoints between keys, and values
+   below and above the stored keys, so they fall on leaf boundaries, inside
+   runs of duplicates and outside the key range, with lo > hi about half
+   the time. *)
+let kernel_key k = float_of_int k /. 4.
+let kernel_bound i = Value.Float ((float_of_int i /. 8.) -. 0.5)
+
+let prop_answer_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      let op =
+        frequency
+          [
+            (4, map2 (fun k a -> Ins (k, a)) (int_bound 11) (int_bound 9));
+            (2, map (fun i -> Del i) nat);
+            (1, map (fun i -> Bump i) nat);
+          ]
+      in
+      quad (int_range 2 6) (int_range 3 5) (list_size (int_range 0 150) op)
+        (list_size (int_range 1 10) (pair (int_bound 31) (int_bound 31))))
+  in
+  QCheck.Test.make ~name:"answer = reference loop (rows, tids, counts, charges)" ~count:300
+    (QCheck.make gen)
+    (fun (leaf_capacity, fanout, ops, bounds) ->
+      let meter = Cost_meter.create () in
+      let disk = Disk.create meter in
+      let mat = Materialized.create ~disk ~name:"V" ~fanout ~leaf_capacity ~cluster_col:0 () in
+      (* The model: (key, payload) -> (stored tid, count). *)
+      let model = Hashtbl.create 64 in
+      let present () = List.sort compare (Hashtbl.fold (fun v _ acc -> v :: acc) model []) in
+      let nth_present i =
+        match present () with [] -> None | vs -> Some (List.nth vs (i mod List.length vs))
+      in
+      let insert (k, a) =
+        let tuple = vtuple (kernel_key k) (float_of_int a) in
+        Materialized.apply mat Insert tuple;
+        match Hashtbl.find_opt model (k, a) with
+        | Some (tid, count) -> Hashtbl.replace model (k, a) (tid, count + 1)
+        | None -> Hashtbl.replace model (k, a) (Tuple.tid tuple, 1)
+      in
+      List.iter
+        (function
+          | Ins (k, a) -> insert (k, a)
+          | Bump i -> Option.iter insert (nth_present i)
+          | Del i ->
+              Option.iter
+                (fun (k, a) ->
+                  Materialized.apply mat Delete (vtuple (kernel_key k) (float_of_int a));
+                  match Hashtbl.find model (k, a) with
+                  | _, 1 -> Hashtbl.remove model (k, a)
+                  | tid, count -> Hashtbl.replace model (k, a) (tid, count - 1))
+                (nth_present i))
+        ops;
+      Materialized.flush mat;
+      Btree.check_invariants (Materialized.tree mat);
+      List.for_all
+        (fun (i, j) ->
+          let lo = kernel_bound i and hi = kernel_bound j in
+          let expected =
+            Hashtbl.fold
+              (fun (k, a) (tid, count) acc ->
+                let key = Value.Float (kernel_key k) in
+                if Value.compare lo key <= 0 && Value.compare key hi <= 0 then
+                  ((kernel_key k, tid), (tid, [ key; Value.Float (float_of_int a) ], count)) :: acc
+                else acc)
+              model []
+            |> List.sort (fun (p, _) (q, _) -> compare p q)
+            |> List.map snd
+          in
+          let kernel, kernel_charges =
+            with_charges meter disk (fun () -> Materialized.answer mat ~meter ~lo ~hi)
+          in
+          let reference, reference_charges =
+            with_charges meter disk (fun () -> reference_answer mat ~meter ~lo ~hi)
+          in
+          rows_data kernel = rows_data reference
+          && rows_data kernel = expected
+          && kernel_charges = reference_charges
+          && List.nth kernel_charges 2 = List.length kernel)
+        bounds)
+
+(* Words per returned row of a two-float view: the tuple (4), its cell
+   array (3), two boxed floats (4 each), the (tuple, count) pair (3) and
+   the list cell (3) make 21; a per-row closure or a reversal copy would
+   break the pin. *)
+let test_answer_alloc_pin () =
+  let meter = Cost_meter.create () in
+  let disk = Disk.create meter in
+  let mat = Materialized.create ~disk ~name:"V" ~fanout:64 ~leaf_capacity:40 ~cluster_col:0 () in
+  let n = 2000 in
+  Materialized.rebuild mat
+    (Bag.of_list
+       (List.init n (fun i -> vtuple (float_of_int i /. float_of_int n) (float_of_int i))));
+  let lo = Value.Float 0.2 and hi = Value.Float 0.9 in
+  let w0 = Alloc_meter.words () in
+  let rows = Materialized.answer mat ~meter ~lo ~hi in
+  let words = Alloc_meter.words () -. w0 in
+  let returned = List.length rows in
+  Alcotest.(check bool) (Printf.sprintf "%d rows returned" returned) true (returned >= 1000);
+  let per_row = words /. float_of_int returned in
+  Alcotest.(check bool) (Printf.sprintf "%.2f words per row <= 22" per_row) true (per_row <= 22.)
+
+(* ------------------------------------------------------------------ *)
 (* Differential update algorithm                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -425,7 +568,9 @@ let suites =
         Alcotest.test_case "range" `Quick test_mat_range;
         Alcotest.test_case "rebuild/bag" `Quick test_mat_rebuild_and_bag;
         Alcotest.test_case "write coalescing" `Quick test_mat_write_coalescing;
-      ] );
+        Alcotest.test_case "answer allocation pin" `Quick test_answer_alloc_pin;
+      ]
+      @ qcheck [ prop_answer_matches_reference ] );
     ( "view.delta",
       [
         Alcotest.test_case "sp delta" `Quick test_delta_sp;
