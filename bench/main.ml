@@ -65,28 +65,14 @@ let durability_wrap () : Experiment.wrap option =
       exit 2
 
 (* ------------------------------------------------------------------ *)
-(* Hand-rolled JSON (no dependencies)                                  *)
+(* JSON: Json_text's builders                                          *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module J = Json_text
 
-let j_str s = Printf.sprintf "\"%s\"" (json_escape s)
+(* The one number format of its own: BENCH_*.json numbers are written at 6
+   significant digits, where [Json_text.num] writes 12. *)
 let j_num f = if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f else Printf.sprintf "%.6g" f
-let j_int i = string_of_int i
-let j_bool b = if b then "true" else "false"
-let j_arr items = "[" ^ String.concat "," items ^ "]"
-let j_obj fields =
-  "{" ^ String.concat "," (List.map (fun (k, v) -> j_str k ^ ":" ^ v) fields) ^ "}"
 
 let write_json path json =
   let oc = open_out path in
@@ -96,18 +82,18 @@ let write_json path json =
   Printf.printf "wrote %s\n" path
 
 let json_of_measurement (m : Runner.measurement) =
-  j_obj
+  J.obj
     [
-      ("strategy", j_str m.Runner.strategy_name);
-      ("transactions", j_int m.Runner.transactions);
-      ("queries", j_int m.Runner.queries);
+      ("strategy", J.str m.Runner.strategy_name);
+      ("transactions", J.int m.Runner.transactions);
+      ("queries", J.int m.Runner.queries);
       ("cost_per_query", j_num m.Runner.cost_per_query);
-      ("physical_reads", j_int m.Runner.physical_reads);
-      ("physical_writes", j_int m.Runner.physical_writes);
-      ("buffer_pool_hits", j_int m.Runner.buffer_pool_hits);
-      ("buffer_pool_misses", j_int m.Runner.buffer_pool_misses);
+      ("physical_reads", J.int m.Runner.physical_reads);
+      ("physical_writes", J.int m.Runner.physical_writes);
+      ("buffer_pool_hits", J.int m.Runner.buffer_pool_hits);
+      ("buffer_pool_misses", J.int m.Runner.buffer_pool_misses);
       ( "category_costs",
-        j_obj
+        J.obj
           (List.filter_map
              (fun (cat, cost) ->
                if cost > 0. then Some (Cost_meter.category_name cat, j_num cost) else None)
@@ -257,19 +243,19 @@ let figure_1_measured () =
   print_table ~headers rows;
   if !json_enabled then
     write_json "BENCH_figures.json"
-      (j_obj
+      (J.obj
          ([
-           ("figure", j_str "figure-1-measured");
+           ("figure", J.str "figure-1-measured");
            ("n_tuples", j_num (Experiment.scale Params.defaults !scale).Params.n_tuples);
            ( "points",
-             j_arr
+             J.arr
                (List.map
                   (fun (prob, results, metrics) ->
-                    j_obj
+                    J.obj
                       ([
                          ("P", j_num prob);
                          ( "strategies",
-                           j_arr (List.map (fun (_, m) -> json_of_measurement m) results) );
+                           J.arr (List.map (fun (_, m) -> json_of_measurement m) results) );
                        ]
                       @ metrics_field metrics))
                   measured) );
@@ -705,20 +691,22 @@ let ablation_multiview () =
       ~query_of:(Stream.range_query_of ~lo_max:0.8 ~width:0.1)
   in
   let first_tid = Tuple.peek gen_tids in
-  (* shared manager *)
+  (* shared: one fleet, every view kept materialized *)
   let ctx = Ctx.create ~geometry:small_geometry ~first_tid () in
   let meter = Ctx.meter ctx in
-  let multi =
-    Multi_view.create ~ctx ~base ~views ~initial:dataset.Dataset.m1_tuples ~ad_buckets:4 ()
+  let fleet =
+    Fleet.create ~ctx ~base ~views ~initial:dataset.Dataset.m1_tuples ~ad_buckets:4
+      ~advisor:None ()
   in
   Cost_meter.reset meter;
   List.iter
     (fun op ->
       match op with
-      | Stream.Txn changes -> Multi_view.handle_transaction multi changes
+      | Stream.Txn changes -> Fleet.handle_transaction fleet changes
       | Stream.Query q ->
-          List.iter (fun v -> ignore (Multi_view.answer_query multi ~view:v q))
-            (Multi_view.view_names multi))
+          List.iter
+            (fun (v : View_def.sp) -> ignore (Fleet.answer_query fleet ~view:v.sp_name q))
+            views)
     ops;
   let shared = Cost_meter.cost meter Cost_meter.Refresh +. Cost_meter.cost meter Cost_meter.Hr in
   (* separate deferred instances *)
@@ -884,54 +872,54 @@ let adaptive_bench () =
       | Some a ->
           [
             ( "migrations",
-              j_arr
+              J.arr
                 (List.map
                    (fun m ->
-                     j_obj
+                     J.obj
                        [
-                         ("at_query", j_int m.Adaptive.at_query);
-                         ("from", j_str (Migrate.kind_name m.Adaptive.from_kind));
-                         ("to", j_str (Migrate.kind_name m.Adaptive.to_kind));
+                         ("at_query", J.int m.Adaptive.at_query);
+                         ("from", J.str (Migrate.kind_name m.Adaptive.from_kind));
+                         ("to", J.str (Migrate.kind_name m.Adaptive.to_kind));
                          ("measured_cost", j_num m.Adaptive.measured_cost);
                        ])
                    (Adaptive.migrations a)) );
-            ("decisions", j_int (List.length (Adaptive.decision_log a)));
-            ("switches", j_int (Controller.switches (Adaptive.controller a)));
+            ("decisions", J.int (List.length (Adaptive.decision_log a)));
+            ("switches", J.int (Controller.switches (Adaptive.controller a)));
           ]
     in
     write_json "BENCH_adaptive.json"
-      (j_obj
+      (J.obj
          ([
             ( "workload",
-              j_obj
+              J.obj
                 [
                   ("n_tuples", j_num p.Params.n_tuples);
                   ("f", j_num p.Params.f);
                   ("fv", j_num p.Params.fv);
                   ( "phases",
-                    j_arr
+                    J.arr
                       (List.map
                          (fun (k, l, q) ->
-                           j_obj [ ("k", j_int k); ("l", j_int l); ("q", j_int q) ])
+                           J.obj [ ("k", J.int k); ("l", J.int l); ("q", J.int q) ])
                          phase_specs) );
                 ] );
             ( "strategies",
-              j_arr
+              J.arr
                 (List.map
                    (fun r ->
-                     j_obj
+                     J.obj
                        [
-                         ("strategy", j_str r.Experiment.ph_name);
+                         ("strategy", J.str r.Experiment.ph_name);
                          ("overall", json_of_measurement r.Experiment.ph_overall);
                          ( "phases",
-                           j_arr (List.map json_of_measurement r.Experiment.ph_per_phase) );
+                           J.arr (List.map json_of_measurement r.Experiment.ph_per_phase) );
                        ])
                    results) );
             ( "acceptance",
-              j_obj
+              J.obj
                 [
-                  ("within_10pct_each_phase", j_bool (List.for_all Fun.id per_phase_ok));
-                  ("better_than_worst_overall", j_bool overall_ok);
+                  ("within_10pct_each_phase", J.bool (List.for_all Fun.id per_phase_ok));
+                  ("better_than_worst_overall", J.bool overall_ok);
                 ] );
           ]
          @ adaptive_json @ metrics_field metrics))
@@ -1007,32 +995,32 @@ let durability_bench () =
       "durability cost is fully isolated to the wal category (no observer effect)";
   if !json_enabled then
     write_json "BENCH_durability.json"
-      (j_obj
+      (J.obj
          [
-           ("figure", j_str "durability");
+           ("figure", J.str "durability");
            ("n_tuples", j_num (Experiment.scale Params.defaults !scale).Params.n_tuples);
-           ("group_commit", j_int group_commit);
-           ("checkpoint_every", j_int checkpoint_every);
+           ("group_commit", J.int group_commit);
+           ("checkpoint_every", J.int checkpoint_every);
            ( "points",
-             j_arr
+             J.arr
                (List.map
                   (fun (prob, plain, durable) ->
-                    j_obj
+                    J.obj
                       [
                         ("P", j_num prob);
                         ( "strategies",
-                          j_arr
+                          J.arr
                             (List.map
                                (fun (name, (d : Runner.measurement)) ->
                                  let p0 = List.assoc name plain in
-                                 j_obj
+                                 J.obj
                                    [
-                                     ("strategy", j_str name);
+                                     ("strategy", J.str name);
                                      ("none", json_of_measurement p0);
                                      ("wal", json_of_measurement d);
                                      ( "wal_ms_per_query",
                                        j_num (wal_ms d /. float_of_int d.Runner.queries) );
-                                     ("observer_effect_free", j_bool (observer_free p0 d));
+                                     ("observer_effect_free", J.bool (observer_free p0 d));
                                    ])
                                durable) );
                       ])
@@ -1044,9 +1032,9 @@ let durability_bench () =
 (* ------------------------------------------------------------------ *)
 
 let j_latency (l : Serve.latency) =
-  j_obj
+  J.obj
     [
-      ("count", j_int l.Serve.l_count);
+      ("count", J.int l.Serve.l_count);
       ("mean", j_num l.Serve.l_mean_us);
       ("p50", j_num l.Serve.l_p50_us);
       ("p95", j_num l.Serve.l_p95_us);
@@ -1104,8 +1092,8 @@ let serving_bench () =
             Table.float_cell ~decimals:1 r.Serve.r_query_latency.Serve.l_p95_us;
             Table.float_cell ~decimals:1 r.Serve.r_query_latency.Serve.l_p99_us;
             Table.float_cell ~decimals:1 r.Serve.r_txn_latency.Serve.l_p99_us;
-            j_int r.Serve.r_epochs;
-            j_int r.Serve.r_reclaimed;
+            J.int r.Serve.r_epochs;
+            J.int r.Serve.r_reclaimed;
             Table.float_cell ~decimals:0 r.Serve.r_writer_alloc_per_txn;
             Table.float_cell ~decimals:0 r.Serve.r_reader_alloc_per_query;
           ])
@@ -1120,40 +1108,40 @@ let serving_bench () =
       rows;
     if !json_enabled then
       write_json "BENCH_serving.json"
-        (j_obj
+        (J.obj
            [
-             ("figure", j_str "serving");
+             ("figure", J.str "serving");
              ("n_tuples", j_num p.Params.n_tuples);
              ("P", j_num prob);
-             ("readers", j_int !readers);
-             ("queries_per_reader", j_int queries_per_reader);
-             ("publish_every", j_int publish_every);
-             ("group_commit", j_int group_commit);
+             ("readers", J.int !readers);
+             ("queries_per_reader", J.int queries_per_reader);
+             ("publish_every", J.int publish_every);
+             ("group_commit", J.int group_commit);
              ( "strategies",
-               j_arr
+               J.arr
                  (List.map
                     (fun ((r : Serve.report), modeled) ->
-                      j_obj
+                      J.obj
                         [
-                          ("strategy", j_str r.Serve.r_strategy);
+                          ("strategy", J.str r.Serve.r_strategy);
                           ("modeled", json_of_measurement modeled);
                           ("modeled_serving_ms", j_num r.Serve.r_modeled_ms);
-                          ("final_digest", j_str r.Serve.r_final_digest);
+                          ("final_digest", J.str r.Serve.r_final_digest);
                           ( "wall",
-                            j_obj
+                            J.obj
                               [
                                 ("tps", j_num r.Serve.r_tps);
                                 ("qps", j_num r.Serve.r_qps);
                                 ("wall_s", j_num r.Serve.r_wall_s);
-                                ("txns", j_int r.Serve.r_txns);
-                                ("queries", j_int r.Serve.r_queries);
-                                ("epochs", j_int r.Serve.r_epochs);
-                                ("reclaimed", j_int r.Serve.r_reclaimed);
-                                ("max_live", j_int r.Serve.r_max_live);
+                                ("txns", J.int r.Serve.r_txns);
+                                ("queries", J.int r.Serve.r_queries);
+                                ("epochs", J.int r.Serve.r_epochs);
+                                ("reclaimed", J.int r.Serve.r_reclaimed);
+                                ("max_live", J.int r.Serve.r_max_live);
                                 ("query_latency_us", j_latency r.Serve.r_query_latency);
                                 ("txn_latency_us", j_latency r.Serve.r_txn_latency);
                                 ( "alloc",
-                                  j_obj
+                                  J.obj
                                     [
                                       ( "writer_bytes",
                                         j_num r.Serve.r_writer_alloc_bytes );
@@ -1239,34 +1227,34 @@ let fleet_bench () =
     (if largest.Fleet_report.r_maint_speedup >= 2. then "[ok, >= 2x]" else "[NOT ok, < 2x]");
   if !json_enabled then
     write_json "BENCH_fleet.json"
-      (j_obj
+      (J.obj
          ([
             ("scale", j_num !scale);
             ( "workload",
-              j_obj
+              J.obj
                 [
                   ("overlap", j_num 0.5);
                   ("zipf_s", j_num 1.1);
-                  ("n_tuples", j_int (sc 2000));
-                  ("k", j_int (sc 200));
-                  ("l", j_int 8);
-                  ("q", j_int (max 40 (sc 100)));
-                  ("seed", j_int 11);
+                  ("n_tuples", J.int (sc 2000));
+                  ("k", J.int (sc 200));
+                  ("l", J.int 8);
+                  ("q", J.int (max 40 (sc 100)));
+                  ("seed", J.int 11);
                 ] );
             ( "sizes",
-              j_arr
+              J.arr
                 (List.map
                    (fun (views, r) ->
-                     j_obj
+                     J.obj
                        [
-                         ("views", j_int views);
-                         ("classes", j_int r.Fleet_report.r_classes);
-                         ("groups", j_int r.Fleet_report.r_groups);
-                         ("aliases", j_int r.Fleet_report.r_aliases);
-                         ("materialized", j_int r.Fleet_report.r_materialized);
-                         ("refreshes", j_int r.Fleet_report.r_refreshes);
-                         ("promotions", j_int r.Fleet_report.r_promotions);
-                         ("demotions", j_int r.Fleet_report.r_demotions);
+                         ("views", J.int views);
+                         ("classes", J.int r.Fleet_report.r_classes);
+                         ("groups", J.int r.Fleet_report.r_groups);
+                         ("aliases", J.int r.Fleet_report.r_aliases);
+                         ("materialized", J.int r.Fleet_report.r_materialized);
+                         ("refreshes", J.int r.Fleet_report.r_refreshes);
+                         ("promotions", J.int r.Fleet_report.r_promotions);
+                         ("demotions", J.int r.Fleet_report.r_demotions);
                          ("shared_maint_ms", j_num r.Fleet_report.r_shared_maint_ms);
                          ("isolated_maint_ms", j_num r.Fleet_report.r_isolated_maint_ms);
                          ("shared_total_ms", j_num r.Fleet_report.r_shared_total_ms);
@@ -1275,8 +1263,8 @@ let fleet_bench () =
                          ("isolated_ms_per_delta", j_num r.Fleet_report.r_isolated_ms_per_delta);
                          ("maint_speedup", j_num r.Fleet_report.r_maint_speedup);
                          ("total_speedup", j_num r.Fleet_report.r_total_speedup);
-                         ("digest", j_str r.Fleet_report.r_digest);
-                         ("match", j_bool r.Fleet_report.r_match);
+                         ("digest", J.str r.Fleet_report.r_digest);
+                         ("match", J.bool r.Fleet_report.r_match);
                        ])
                    results) );
           ]

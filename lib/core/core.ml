@@ -85,7 +85,6 @@ module Strategy = Vmat_view.Strategy
 module Strategy_sp = Vmat_view.Strategy_sp
 module Strategy_join = Vmat_view.Strategy_join
 module Strategy_agg = Vmat_view.Strategy_agg
-module Multi_view = Vmat_view.Multi_view
 module Bilateral = Vmat_view.Bilateral
 module Trigger = Vmat_view.Trigger
 module Planner = Vmat_view.Planner

@@ -51,7 +51,7 @@ type t = {
 
 val build : base:Schema.t -> Vmat_view.View_def.sp list -> t
 (** @raise Invalid_argument on an empty list, duplicate view names, or a
-    view over another schema (same contract as [Multi_view.create]). *)
+    view over another schema (the contract of [Fleet.create]). *)
 
 val node_of_view : t -> string -> node
 (** @raise Not_found for an unknown view name. *)

@@ -80,18 +80,8 @@ let create ~ctx ~base ~views ~initial ~ad_buckets ?(advisor = Some Advisor.defau
               ("Fleet.create: base_cluster " ^ name ^ " is not a column of " ^ Schema.name base))
     | None -> default_base_cluster views
   in
-  let base_tree =
-    Btree.create ~disk ~name:(Schema.name base) ~fanout:(Strategy.fanout geometry)
-      ~leaf_capacity:(Strategy.blocking_factor geometry base)
-      ~key_col:base_cluster_col ()
-  in
-  Btree.bulk_load base_tree initial;
-  Buffer_pool.invalidate (Btree.pool base_tree);
-  let hr =
-    Hr.create ~disk ~tids ~base:base_tree ~schema:base ~ad_buckets
-      ~tuples_per_page:(Strategy.blocking_factor geometry base)
-      ~sanitize:(Ctx.sanitizer ctx) ()
-  in
+  let base_tree = Strategy.base_relation ctx base ~key_col:base_cluster_col initial in
+  let hr = Strategy.hypothetical ctx ~base:base_tree ~schema:base ~ad_buckets in
   let make_rt (nd : Dag.node) =
     let mat =
       match nd.nd_kind with
@@ -151,9 +141,10 @@ let node_index t view =
    tuple its parent's screen rejects cannot be marked for any descendant —
    the subtree is skipped without paying its stage-2 tests.  A tuple is
    recorded as marked in the shared differential file when some {e class}
-   node marks it (group marks alone serve maintenance filtering; per-node
-   relevance is re-derived from the stored predicates at refresh time, like
-   [Multi_view]'s per-view marker bits). *)
+   node marks it (group marks alone serve maintenance filtering).  Per-node
+   relevance is re-derived from the stored predicates at refresh time: §4's
+   per-view marker bits, conceptually stored with the entry, so they cost
+   no extra charge. *)
 let screen_image t tuple =
   let any_class = ref false in
   let rec go idx =
@@ -169,21 +160,10 @@ let screen_image t tuple =
 
 let handle_transaction t changes =
   let before = Cost_meter.snapshot t.meter in
+  let mark = screen_image t in
   List.iter
     (fun (change : Strategy.change) ->
-      let mark = Option.map (screen_image t) in
-      let marked_old = mark change.Strategy.before
-      and marked_new = mark change.Strategy.after in
-      match (change.Strategy.before, change.Strategy.after) with
-      | Some old_tuple, Some new_tuple ->
-          Hr.apply_update t.hr ~old_tuple ~new_tuple
-            ~marked_old:(Option.value ~default:false marked_old)
-            ~marked_new:(Option.value ~default:false marked_new)
-      | None, Some tuple ->
-          Hr.apply_insert t.hr tuple ~marked:(Option.value ~default:false marked_new)
-      | Some tuple, None ->
-          Hr.apply_delete t.hr tuple ~marked:(Option.value ~default:false marked_old)
-      | None, None -> ())
+      Hr.apply t.hr ~mark ~before:change.Strategy.before ~after:change.Strategy.after)
     changes;
   Hr.end_transaction t.hr;
   t.txns <- t.txns + 1;
@@ -194,10 +174,11 @@ let relevant (rt : node_rt) tuple = Predicate.eval rt.node.nd_def.sp_pred tuple
 
 (* One shared refresh pass: a single AD read brings every materialized node
    up to date (per-node relevance is re-derived at no extra charge from the
-   conceptually-stored marker bits, exactly like [Multi_view]); transient
-   nodes only tally their would-be work for the advisor.  [Hr.reset] then
-   folds the deltas into the base relation, which is what keeps transient
-   query answering (a base or ancestor scan) current. *)
+   conceptually-stored marker bits); transient nodes only tally their
+   would-be work for the advisor.  It reads [Hr.net_changes] itself rather
+   than [Hr.drain] because it applies the deltas node by node.  [Hr.reset]
+   then folds the deltas into the base relation, which is what keeps
+   transient query answering (a base or ancestor scan) current. *)
 let refresh_all t =
   if t.any_stale then begin
     t.refreshes <- t.refreshes + 1;
@@ -453,27 +434,21 @@ let view_contents t ~view =
   let idx = node_index t view in
   let rt = t.nodes.(idx) in
   let def = rt.node.nd_def in
+  let output tuple = View_def.sp_output ~tids:t.tids def tuple in
   let bag =
     match rt.mat with
     | Some m -> Materialized.to_bag_unmetered m
     | None ->
         let b = Bag.of_list [] in
         Btree.iter_unmetered t.base_tree (fun tuple ->
-            if Predicate.eval def.sp_pred tuple then
-              ignore (Bag.add b (View_def.sp_output ~tids:t.tids def tuple)));
+            if Predicate.eval def.sp_pred tuple then ignore (Bag.add b (output tuple)));
         b
   in
-  let a_net, d_net = Hr.net_changes_unmetered t.hr in
-  List.iter
-    (fun (tuple, marked) ->
-      if marked && Predicate.eval def.sp_pred tuple then
-        ignore (Bag.remove bag (View_def.sp_output ~tids:t.tids def tuple)))
-    d_net;
-  List.iter
-    (fun (tuple, marked) ->
-      if marked && Predicate.eval def.sp_pred tuple then
-        ignore (Bag.add bag (View_def.sp_output ~tids:t.tids def tuple)))
-    a_net;
+  Hr.pending t.hr
+    ~delete:(fun tuple ->
+      if Predicate.eval def.sp_pred tuple then ignore (Bag.remove bag (output tuple)))
+    ~insert:(fun tuple ->
+      if Predicate.eval def.sp_pred tuple then ignore (Bag.add bag (output tuple)));
   bag
 
 let refreshes t = t.refreshes

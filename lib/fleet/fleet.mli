@@ -30,10 +30,11 @@ val create :
 (** Views may cluster on different output columns.  The shared base B-tree
     clusters on [base_cluster] when given (a base column name), else on the
     most common clustering column across the fleet.  [?advisor:None]
-    disables promote/demote (every class stays materialized, like
-    [Multi_view]); the default runs {!Advisor.default_config}.
-    @raise Invalid_argument as [Multi_view.create] (empty list, duplicate
-    names, foreign schema, unknown [base_cluster]). *)
+    disables promote/demote: every class stays materialized and one AD read
+    refreshes them all (§4's shared refresh); the default runs
+    {!Advisor.default_config}.
+    @raise Invalid_argument on an empty view list, duplicate view names, a
+    view over another schema, or an unknown [base_cluster] column. *)
 
 val view_names : t -> string list
 val dag : t -> Dag.t

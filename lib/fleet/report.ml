@@ -1,7 +1,7 @@
 open Vmat_storage
 open Vmat_relalg
 open Vmat_util
-module Multi_view = Vmat_view.Multi_view
+module View_def = Vmat_view.View_def
 module Dataset = Vmat_workload.Dataset
 module Stream = Vmat_workload.Stream
 module Recorder = Vmat_obs.Recorder
@@ -96,7 +96,15 @@ let fnv_bag h bag =
 
 let vname v = Printf.sprintf "v%d" v
 
-let run_comparison ?recorder o =
+type inputs = {
+  in_base : Schema.t;
+  in_views : View_def.sp list;
+  in_initial : Tuple.t list;
+  in_ops : Stream.fleet_op list;
+  in_first_tid : int;
+}
+
+let inputs o =
   let gen_rng = Rng.create o.ro_seed in
   let gen_tids = Tuple.source () in
   let dataset =
@@ -116,23 +124,34 @@ let run_comparison ?recorder o =
       ~views:o.ro_views ~zipf_s:o.ro_zipf ~k:o.ro_k ~l:o.ro_l ~q:o.ro_q
       ~query_of:(fun rng v -> Spec.query_of spec ~fv:o.ro_fv rng v)
   in
-  let first_tid = Tuple.peek gen_tids in
-  let initial = dataset.Dataset.m1_tuples in
+  {
+    in_base = base;
+    in_views = spec.Spec.fs_views;
+    in_initial = dataset.Dataset.m1_tuples;
+    in_ops = ops;
+    in_first_tid = Tuple.peek gen_tids;
+  }
+
+let run_comparison ?recorder o =
+  let { in_base = base; in_views = views; in_initial = initial; in_ops = ops; in_first_tid = first_tid } =
+    inputs o
+  in
   let fleet_ctx = Ctx.create ~seed:(o.ro_seed + 1) ~first_tid () in
   let fleet_meter = Ctx.meter fleet_ctx in
   (match recorder with Some r -> Cost_meter.set_recorder fleet_meter r | None -> ());
   let fleet =
-    Fleet.create ~ctx:fleet_ctx ~base ~views:spec.Spec.fs_views ~initial
-      ~ad_buckets:o.ro_ad_buckets ~advisor:o.ro_advisor ()
+    Fleet.create ~ctx:fleet_ctx ~base ~views ~initial ~ad_buckets:o.ro_ad_buckets
+      ~advisor:o.ro_advisor ()
   in
   Cost_meter.reset fleet_meter;
+  (* Each isolated engine is a one-view fleet without an advisor: its own
+     base copy, differential file and stored view. *)
   let isolated =
     Array.init o.ro_views (fun i ->
         let ctx = Ctx.create ~seed:(o.ro_seed + 2 + i) ~first_tid () in
         let engine =
-          Multi_view.create ~ctx ~base
-            ~views:[ List.nth spec.Spec.fs_views i ]
-            ~initial ~ad_buckets:o.ro_ad_buckets ()
+          Fleet.create ~ctx ~base ~views:[ List.nth views i ] ~initial ~ad_buckets:o.ro_ad_buckets
+            ~advisor:None ()
         in
         Cost_meter.reset (Ctx.meter ctx);
         (engine, Ctx.meter ctx))
@@ -143,12 +162,12 @@ let run_comparison ?recorder o =
       match op with
       | Stream.Ftxn changes ->
           Fleet.handle_transaction fleet changes;
-          Array.iter (fun (engine, _) -> Multi_view.handle_transaction engine changes) isolated
+          Array.iter (fun (engine, _) -> Fleet.handle_transaction engine changes) isolated
       | Stream.Fquery (v, q) ->
           let shared_rows = Fleet.answer_query fleet ~view:(vname v) q in
           let oracle_rows =
             let engine, _ = isolated.(v) in
-            Multi_view.answer_query engine ~view:(vname v) q
+            Fleet.answer_query engine ~view:(vname v) q
           in
           if o.ro_check && not (Bag.equal (bag_of_answer shared_rows) (bag_of_answer oracle_rows))
           then all_match := false)
@@ -159,7 +178,7 @@ let run_comparison ?recorder o =
     digest := fnv_bag !digest shared;
     if o.ro_check then begin
       let engine, _ = isolated.(v) in
-      if not (Bag.equal shared (Multi_view.view_contents engine ~view:(vname v))) then
+      if not (Bag.equal shared (Fleet.view_contents engine ~view:(vname v))) then
         all_match := false
     end
   done;

@@ -1,7 +1,10 @@
 (** Fleet experiment driver: one Zipf-addressed stream replayed against a
     shared fleet engine and against [n] isolated single-view engines, with
     modeled-cost accounting and (optionally) a per-query equivalence check
-    against the isolated oracles (DESIGN §14.5, EXPERIMENTS X10). *)
+    against the isolated engines (DESIGN §14.5, EXPERIMENTS X10).  Each
+    isolated engine is a one-view {!Fleet} without an advisor, the cost
+    baseline of the sharing figures; the reference that shares no engine
+    code with the fleet lives in the test suite. *)
 
 type opts = {
   ro_views : int;
@@ -47,6 +50,18 @@ type result = {
   r_events : Fleet.event list;  (** advisor promote/demote log, oldest first *)
   r_nodes : Fleet.node_info list;  (** end-of-run per-node state *)
 }
+
+type inputs = {
+  in_base : Vmat_storage.Schema.t;
+  in_views : Vmat_view.View_def.sp list;
+  in_initial : Vmat_storage.Tuple.t list;  (** the base relation's initial contents *)
+  in_ops : Vmat_workload.Stream.fleet_op list;
+  in_first_tid : int;  (** first tid the engines mint, past every generated one *)
+}
+
+val inputs : opts -> inputs
+(** The fleet, dataset and stream that {!run_comparison} replays, generated
+    from [ro_seed] (only the generation options are read). *)
 
 val run_comparison : ?recorder:Vmat_obs.Recorder.t -> opts -> result
 (** Generate the fleet and stream from [ro_seed], replay against both

@@ -5,9 +5,12 @@ module Hash_file = Vmat_index.Hash_file
 module Recorder = Vmat_obs.Recorder
 
 (* AD entries extend the base tuple with three bookkeeping columns:
-   role ("A" or "D"), the original tid, and the screening marker.  The entry
+   role ("A" or "D"), the original tid, and the marker cell.  The entry
    itself gets a fresh tid so that an append and its cancelling delete can
-   coexist in the hash file. *)
+   coexist in the hash file.  The marker cell holds the screening result
+   ([Bool]), or, for both halves of a readily-ignorable modification, the
+   pair's id ([Int], the tid of its D entry); a cell has a fixed size, so
+   either form costs the same pages. *)
 
 let role_appended = Value.Str "A"
 let role_deleted = Value.Str "D"
@@ -73,10 +76,11 @@ let all_files t = t.ad :: Option.to_list t.ad_deletes
 let base t = t.base
 let schema t = t.schema
 
-let encode t tuple ~role ~marked =
+let encode t tuple ~role ~marker =
   Tuple.make ~tid:(Tuple.next t.tids)
-    (Array.append (Tuple.values tuple)
-       [| role; Value.Int (Tuple.tid tuple); Value.Bool marked |])
+    (Array.append (Tuple.values tuple) [| role; Value.Int (Tuple.tid tuple); marker |])
+
+let no_pair = -1
 
 (* Decode straight off the page cells, boxing only the base-tuple prefix. *)
 let decode_view t view =
@@ -95,11 +99,8 @@ let charge_base_read t =
   Cost_meter.with_category t.meter Cost_meter.Base (fun () ->
       Cost_meter.charge_read t.meter)
 
-let ad_files_entry_count files =
-  List.fold_left (fun acc f -> acc + Hash_file.tuple_count f) 0 files
-
-let ad_files_page_count files =
-  List.fold_left (fun acc f -> acc + Hash_file.page_count f) 0 files
+let ad_entry_count t = List.fold_left (fun acc f -> acc + Hash_file.tuple_count f) 0 (all_files t)
+let ad_page_count t = List.fold_left (fun acc f -> acc + Hash_file.page_count f) 0 (all_files t)
 
 let bloom t = t.bloom
 
@@ -111,10 +112,10 @@ let note_ad_gauges t =
   if Recorder.enabled r then begin
     Recorder.set_gauge r ~help:"Pages currently in the differential (A/D) file(s)."
       "vmat_hr_ad_pages"
-      (float_of_int (ad_files_page_count (all_files t)));
+      (float_of_int (ad_page_count t));
     Recorder.set_gauge r ~help:"Entries currently in the differential (A/D) file(s)."
       "vmat_hr_ad_entries"
-      (float_of_int (ad_files_entry_count (all_files t)));
+      (float_of_int (ad_entry_count t));
     Recorder.set_gauge r
       ~help:"Analytic false-positive probability of the A/D Bloom filter at current load."
       "vmat_bloom_fp_rate" (Bloom.false_positive_rate t.bloom)
@@ -125,24 +126,42 @@ let store t ~role entry =
       Hash_file.insert (file_for t role) entry)
 
 let apply_insert t tuple ~marked =
-  store t ~role:role_appended (encode t tuple ~role:role_appended ~marked);
+  store t ~role:role_appended (encode t tuple ~role:role_appended ~marker:(Value.Bool marked));
   note_in_bloom t tuple;
   t.a_count <- t.a_count + 1
 
 let apply_delete t tuple ~marked =
   charge_base_read t;
-  store t ~role:role_deleted (encode t tuple ~role:role_deleted ~marked);
+  store t ~role:role_deleted (encode t tuple ~role:role_deleted ~marker:(Value.Bool marked));
   note_in_bloom t tuple;
   t.d_count <- t.d_count + 1
 
-let apply_update t ~old_tuple ~new_tuple ~marked_old ~marked_new =
+let record_update t ~old_tuple ~new_tuple ~marker_old ~marker_new =
   charge_base_read t;
-  store t ~role:role_deleted (encode t old_tuple ~role:role_deleted ~marked:marked_old);
-  store t ~role:role_appended (encode t new_tuple ~role:role_appended ~marked:marked_new);
+  store t ~role:role_deleted (encode t old_tuple ~role:role_deleted ~marker:marker_old);
+  store t ~role:role_appended (encode t new_tuple ~role:role_appended ~marker:marker_new);
   note_in_bloom t old_tuple;
   note_in_bloom t new_tuple;
   t.a_count <- t.a_count + 1;
   t.d_count <- t.d_count + 1
+
+let apply_update t ~old_tuple ~new_tuple ~marked_old ~marked_new =
+  record_update t ~old_tuple ~new_tuple ~marker_old:(Value.Bool marked_old)
+    ~marker_new:(Value.Bool marked_new)
+
+let apply_ignorable t ~old_tuple ~new_tuple =
+  let pair = Value.Int (Tuple.peek t.tids) in
+  record_update t ~old_tuple ~new_tuple ~marker_old:pair ~marker_new:pair
+
+(* Screens the old image before the new one. *)
+let apply t ~mark ~before ~after =
+  match (before, after) with
+  | Some old_tuple, Some new_tuple ->
+      let marked_old = mark old_tuple in
+      apply_update t ~old_tuple ~new_tuple ~marked_old ~marked_new:(mark new_tuple)
+  | None, Some tuple -> apply_insert t tuple ~marked:(mark tuple)
+  | Some tuple, None -> apply_delete t tuple ~marked:(mark tuple)
+  | None, None -> ()
 
 let end_transaction t =
   (* Flushes charge the page writes the conventional update would also have
@@ -155,6 +174,42 @@ let end_transaction t =
 
 let identity_key tuple = Tuple.value_key tuple ^ "#" ^ string_of_int (Tuple.tid tuple)
 
+(* Readily-ignorable pairs ({!apply_ignorable}) carry no screening result:
+   both images of such a pair screen alike, so while both halves stand the
+   pair changes nothing in the view.  When a half cancels against a screened
+   entry for the same tuple, that entry's mark is the result the pair's
+   images share, and the surviving half takes it; a half that cancels
+   against another pair's half joins the two pairs, whose survivors then
+   share one result.  Pairs that no screening result reaches stay unmarked,
+   a no-op for the view. *)
+type pairs = {
+  halves : (bool * string, int) Hashtbl.t;  (* (appended?, identity) of a half -> its pair *)
+  joined : (int, int) Hashtbl.t;  (* union-find links between pairs *)
+  mutable reached : (int * bool) list;  (* a pair and a result that reached it *)
+}
+
+let rec pair_root p pair =
+  match Hashtbl.find_opt p.joined pair with Some up -> pair_root p up | None -> pair
+
+let note_cancelled p key ~a_marked ~d_marked =
+  match (Hashtbl.find_opt p.halves (true, key), Hashtbl.find_opt p.halves (false, key)) with
+  | Some pa, Some pd ->
+      let ra = pair_root p pa and rd = pair_root p pd in
+      if ra <> rd then Hashtbl.replace p.joined ra rd
+  | Some pa, None -> p.reached <- (pa, d_marked) :: p.reached
+  | None, Some pd -> p.reached <- (pd, a_marked) :: p.reached
+  | None, None -> ()
+
+(* The final mark of a surviving entry: its own, or the result that reached
+   its pair. *)
+let settle p =
+  let marks = Hashtbl.create 16 in
+  List.iter (fun (pair, marked) -> Hashtbl.replace marks (pair_root p pair) marked) p.reached;
+  fun appended ((tuple, _) as entry) ->
+    match Hashtbl.find_opt p.halves (appended, identity_key tuple) with
+    | None -> entry
+    | Some pair -> (tuple, Option.value ~default:false (Hashtbl.find_opt marks (pair_root p pair)))
+
 (* Cancel append/delete pairs that refer to the same tuple instance (all
    fields including the tid): a tuple appended and deleted within the same
    epoch contributes to neither net set.  Both net sets come back in
@@ -165,7 +220,7 @@ let identity_key tuple = Tuple.value_key tuple ^ "#" ^ string_of_int (Tuple.tid 
    the running compiler (vmlint rule D3). *)
 let by_tid (t1, _) (t2, _) = Int.compare (Tuple.tid t1) (Tuple.tid t2)
 
-let cancel_pairs (a, d) =
+let cancel_pairs ?pairs (a, d) =
   let deleted = Hashtbl.create (List.length d) in
   List.iter
     (fun (tuple, marked) ->
@@ -173,37 +228,57 @@ let cancel_pairs (a, d) =
     d;
   let a_net =
     List.filter
-      (fun (tuple, _) ->
+      (fun (tuple, a_marked) ->
         let key = identity_key tuple in
-        if Hashtbl.mem deleted key then begin
-          Hashtbl.remove deleted key;
-          false
-        end
-        else true)
+        match Hashtbl.find_opt deleted key with
+        | None -> true
+        | Some (_, d_marked) ->
+            Hashtbl.remove deleted key;
+            (match pairs with Some p -> note_cancelled p key ~a_marked ~d_marked | None -> ());
+            false)
       a
   in
-  let d_net =
-    List.sort by_tid (Hashtbl.fold (fun _ entry acc -> entry :: acc) deleted [])
-  in
-  (List.sort by_tid a_net, d_net)
+  match pairs with
+  | None ->
+      ( List.sort by_tid a_net,
+        List.sort by_tid (Hashtbl.fold (fun _ entry acc -> entry :: acc) deleted []) )
+  | Some p ->
+      let settle = settle p in
+      ( List.sort by_tid (List.map (settle true) a_net),
+        List.sort by_tid (Hashtbl.fold (fun _ entry acc -> settle false entry :: acc) deleted []) )
 
-(* Partition the files' entries by role in file-scan order (the order the
-   historical collect-then-partition produced), decoding off the page cells. *)
-let partition_views t iter =
+(* Partition the entries [iter] visits by role in file-scan order (the order
+   the historical collect-then-partition produced), decoding off the page
+   cells; the halves of readily-ignorable pairs are indexed only when some
+   are met. *)
+let partition t iter =
   let a = ref [] and d = ref [] in
+  let pairs = lazy { halves = Hashtbl.create 16; joined = Hashtbl.create 16; reached = [] } in
+  let marker_col = Schema.arity t.schema + 2 in
   List.iter
     (fun f ->
       iter f (fun view ->
           let is_appended, marked, tuple = decode_view t view in
+          let pair = Tuple_view.get_int_or view marker_col ~default:no_pair in
+          if pair <> no_pair then
+            Hashtbl.replace (Lazy.force pairs).halves (is_appended, identity_key tuple) pair;
           if is_appended then a := (tuple, marked) :: !a else d := (tuple, marked) :: !d))
     (all_files t);
-  (List.rev !a, List.rev !d)
+  (List.rev !a, List.rev !d, if Lazy.is_val pairs then Some (Lazy.force pairs) else None)
 
-let net_changes t = cancel_pairs (partition_views t Hash_file.scan_views)
-let net_changes_unmetered t = cancel_pairs (partition_views t Hash_file.iter_views_unmetered)
+let collect_net t iter =
+  let a, d, pairs = partition t iter in
+  cancel_pairs ?pairs (a, d)
 
-let ad_entry_count t = List.fold_left (fun acc f -> acc + Hash_file.tuple_count f) 0 (all_files t)
-let ad_page_count t = List.fold_left (fun acc f -> acc + Hash_file.page_count f) 0 (all_files t)
+let net_changes t = collect_net t Hash_file.scan_views
+let net_changes_unmetered t = collect_net t Hash_file.iter_views_unmetered
+
+let iter_marked (a_net, d_net) ~delete ~insert =
+  List.iter (fun (tuple, marked) -> if marked then delete tuple) d_net;
+  List.iter (fun (tuple, marked) -> if marked then insert tuple) a_net
+
+let drain t ~delete ~insert = iter_marked (net_changes t) ~delete ~insert
+let pending t ~delete ~insert = iter_marked (net_changes_unmetered t) ~delete ~insert
 
 let reset t =
   let a_net, d_net = net_changes t in
@@ -280,19 +355,12 @@ let lookup t ~key =
         find_in_base ()
       end
       else begin
-        let a_raw = ref [] and d_raw = ref [] in
-        List.iter
-          (fun f ->
-            Hash_file.lookup_views f key (fun view ->
-                let is_appended, marked, tuple = decode_view t view in
-                if is_appended then a_raw := (tuple, marked) :: !a_raw
-                else d_raw := (tuple, marked) :: !d_raw))
-          (all_files t);
+        let a_raw, d_raw, _ = partition t (fun f -> Hash_file.lookup_views f key) in
         (* Every A/D insertion also feeds the filter and entries are only
            removed wholesale (with a filter clear), so an empty hash-file
            answer after a positive probe is, by construction, a false
            positive — the one outcome the probe itself cannot see. *)
-        if List.is_empty !a_raw && List.is_empty !d_raw then begin
+        if List.is_empty a_raw && List.is_empty d_raw then begin
           Bloom.note_false_positive t.bloom;
           if Recorder.enabled r then begin
             Recorder.inc r
@@ -301,7 +369,7 @@ let lookup t ~key =
             Recorder.instant r ~cat:"hr" "bloom.false_positive"
           end
         end;
-        let a, d = cancel_pairs (!a_raw, !d_raw) in
+        let a, d = cancel_pairs (a_raw, d_raw) in
         match a with
         | (tuple, _) :: _ -> Some tuple
         | [] -> (

@@ -10,7 +10,10 @@
     meter category (the paper's [C_AD]); the rest is charged to [Base].
 
     Each entry carries the screening marker set by the strategy when the
-    update arrived, so deferred refresh does not re-screen. *)
+    update arrived, so deferred refresh does not re-screen.  This module is
+    the only one that knows how a marker is stored and routed: engines
+    record changes with {!apply} (or {!apply_ignorable}) and read the
+    marked net changes back with {!drain} or {!pending}. *)
 
 open Vmat_storage
 
@@ -59,6 +62,23 @@ val apply_update : t -> old_tuple:Tuple.t -> new_tuple:Tuple.t -> marked_old:boo
     current tuple, one read and one write of the [AD] page receiving both
     the [D] and [A] entries. *)
 
+val apply :
+  t -> mark:(Tuple.t -> bool) -> before:Tuple.t option -> after:Tuple.t option -> unit
+(** Record one change: an insertion ([after] only), a deletion ([before]
+    only) or a modification (both, through {!apply_update}).  [mark]
+    screens each image, the old one first, and its answer is that image's
+    marker. *)
+
+val apply_ignorable : t -> old_tuple:Tuple.t -> new_tuple:Tuple.t -> unit
+(** Record a readily-ignorable modification [Bune79] unscreened, at the
+    I/O cost of {!apply_update}.  It writes no column the view reads, so
+    both images screen alike and, while both entries stand, the pair
+    changes nothing in the view.  Both entries carry the pair's id in place
+    of a marker.  When one of them cancels against another entry for the
+    same tuple in {!net_changes}, the other takes the screening result that
+    reaches the pair through that entry (possibly along a chain of such
+    pairs), or stays unmarked when none does. *)
+
 val end_transaction : t -> unit
 (** Flush and drop the [AD] buffer pool so the next transaction's page
     touches are charged afresh (the paper charges [y(2u, 2u/T, l)] per
@@ -71,8 +91,18 @@ val lookup : t -> key:Value.t -> Tuple.t option
 
 val net_changes : t -> (Tuple.t * bool) list * (Tuple.t * bool) list
 (** [(a_net, d_net)] with markers: entries appended-then-deleted in the same
-    epoch cancel (matching on all fields including the tid).  Charges one
-    read of every [AD] page. *)
+    epoch cancel (matching on all fields including the tid), and the
+    surviving halves of readily-ignorable pairs carry their resolved
+    marker.  Charges one read of every [AD] page. *)
+
+val drain : t -> delete:(Tuple.t -> unit) -> insert:(Tuple.t -> unit) -> unit
+(** {!net_changes}, then each marked net deletion to [delete] and each
+    marked net append to [insert], deletions first: the refresh step of
+    every single-view deferred engine. *)
+
+val pending : t -> delete:(Tuple.t -> unit) -> insert:(Tuple.t -> unit) -> unit
+(** {!drain} over {!net_changes_unmetered}, free of charge: overlays the
+    pending changes on a stored view's contents. *)
 
 val ad_entry_count : t -> int
 val ad_page_count : t -> int

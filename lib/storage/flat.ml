@@ -248,6 +248,13 @@ let cell_int p i col =
   if Bytes.get_uint8 p.buf c <> tag_int then invalid_arg "Flat.cell_int: not an Int cell";
   Int64.to_int (Bytes.get_int64_le p.buf (c + 1))
 
+let cell_int_or p i col ~default =
+  let off = slot_off p i in
+  cell_check p off col;
+  let c = cell_off off col in
+  if Bytes.get_uint8 p.buf c <> tag_int then default
+  else Int64.to_int (Bytes.get_int64_le p.buf (c + 1))
+
 (* Mirrors the Hr marker decode: any non-Bool cell reads as false. *)
 let cell_bool_or_false p i col =
   let off = slot_off p i in
@@ -430,12 +437,15 @@ let counted_row p i =
   ( Tuple.make ~tid:(tid_of_row p off) (cells p off n),
     Int64.to_int (Bytes.get_int64_le p.buf (c + 1)) )
 
+(* A loop rather than [Array.map]: no closure per row, so the only
+   allocation is the array and its boxed cells. *)
 let project p i positions ~tid =
   let off = slot_off p i in
   let arity = Bytes.get_uint16_le p.buf (off + 12) in
-  Tuple.make ~tid
-    (Array.map
-       (fun col ->
-         if col < 0 || col >= arity then invalid_arg "Flat.project: column out of range";
-         value_of_cell p off col)
-       positions)
+  let values = Array.make (Array.length positions) Value.Null in
+  for j = 0 to Array.length positions - 1 do
+    let col = Array.unsafe_get positions j in
+    if col < 0 || col >= arity then invalid_arg "Flat.project: column out of range";
+    Array.unsafe_set values j (value_of_cell p off col)
+  done;
+  Tuple.make ~tid values

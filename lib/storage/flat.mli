@@ -57,6 +57,10 @@ val cell_value : t -> int -> int -> Value.t
 val cell_int : t -> int -> int -> int
 (** Unboxed read of an [Int] cell. @raise Invalid_argument otherwise. *)
 
+val cell_int_or : t -> int -> int -> default:int -> int
+(** Unboxed read of an [Int] cell; any other cell reads as [default] (the
+    Hr pair-id decode). *)
+
 val cell_bool_or_false : t -> int -> int -> bool
 (** [true] iff the cell is [Bool true] (non-Bool cells read as [false], the
     Hr marker-decode convention). *)

@@ -17,6 +17,7 @@ let tid v = Flat.tid_at v.page v.slot
 let arity v = Flat.arity_at v.page v.slot
 let get v col = Flat.cell_value v.page v.slot col
 let get_int v col = Flat.cell_int v.page v.slot col
+let get_int_or v col ~default = Flat.cell_int_or v.page v.slot col ~default
 let get_bool_or_false v col = Flat.cell_bool_or_false v.page v.slot col
 
 let compare_col v col value = Flat.compare_cell_value v.page v.slot col value

@@ -22,6 +22,9 @@ val get : t -> int -> Value.t
 val get_int : t -> int -> int
 (** Unboxed read of an [Int] cell. @raise Invalid_argument otherwise. *)
 
+val get_int_or : t -> int -> default:int -> int
+(** Unboxed read of an [Int] cell; any other cell reads as [default]. *)
+
 val get_bool_or_false : t -> int -> bool
 
 val compare_col : t -> int -> Value.t -> int

@@ -35,15 +35,7 @@ let make_store (env : Strategy_join.env) =
   let geometry = Ctx.geometry ctx in
   let view = env.view in
   let cluster_col = view.j_positions_left.(view.j_cluster_out) in
-  let r1 =
-    Btree.create ~disk:(Ctx.disk ctx) ~name:(Schema.name view.j_left)
-      ~fanout:(Strategy.fanout geometry)
-      ~leaf_capacity:(Strategy.blocking_factor geometry view.j_left)
-      ~key_col:cluster_col
-      ()
-  in
-  Btree.bulk_load r1 env.initial_left;
-  Buffer_pool.invalidate (Btree.pool r1);
+  let r1 = Strategy.base_relation ctx view.j_left ~key_col:cluster_col env.initial_left in
   let r1_by_jkey = Hashtbl.create 256 in
   let jkey_of tuple = Value.key_string (Tuple.get tuple view.j_left_col) in
   let index_add tuple =

@@ -27,14 +27,7 @@ let create ~ctx ~view ~base_cluster ~initial () =
         invalid_arg ("Planner.create: unknown base column " ^ base_cluster)
   in
   let meter = Ctx.meter ctx in
-  let base =
-    Btree.create ~disk ~name:(Schema.name view.sp_base) ~fanout:(Strategy.fanout geometry)
-      ~leaf_capacity:(Strategy.blocking_factor geometry view.sp_base)
-      ~key_col:base_cluster_col
-      ()
-  in
-  Btree.bulk_load base initial;
-  Buffer_pool.invalidate (Btree.pool base);
+  let base = Strategy.base_relation ctx view.sp_base ~key_col:base_cluster_col initial in
   let mat =
     Materialized.create ~disk ~name:view.sp_name ~fanout:(Strategy.fanout geometry)
       ~leaf_capacity:(Strategy.blocking_factor geometry view.sp_out_schema)

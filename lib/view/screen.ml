@@ -9,7 +9,6 @@ type t = {
   pred : Predicate.t;
   compiled : Tuple.t -> bool option;  (* eval3 semantics, zero alloc per row *)
   locks : Tlock.t;
-  columns_read : int list;
   mutable stage2 : int;
 }
 
@@ -34,7 +33,6 @@ let create ~meter ~view_name ~pred () =
     pred;
     compiled = Predicate.compile_boxed pred;
     locks;
-    columns_read = Predicate.columns_read pred;
     stage2 = 0;
   }
 
@@ -57,8 +55,3 @@ let screen t tuple =
   end
 
 let stage2_tests t = t.stage2
-
-let readily_ignorable t ~written_columns =
-  not (List.exists (fun c -> List.mem c t.columns_read) written_columns)
-
-let tlocks t = t.locks

@@ -1,5 +1,6 @@
-(** The two-stage screening pipeline of §2, plus the compile-time
-    readily-ignorable-update (RIU) test of [Bune79].
+(** The two-stage screening pipeline of §2.  (The readily-ignorable-update
+    test of [Bune79], which skips screening altogether, is
+    [Strategy_sp]'s: it needs the view's projected columns too.)
 
     Stage 1 — rule indexing: the view predicate's index intervals are
     t-locked at creation; a tuple that breaks no t-lock fails implicitly at
@@ -22,10 +23,3 @@ val screen : t -> Tuple.t -> bool
 
 val stage2_tests : t -> int
 (** Number of stage-2 tests performed so far (the [fu] of [C_screen]). *)
-
-val readily_ignorable : t -> written_columns:int list -> bool
-(** Compile-time RIU test: an update command that writes none of the columns
-    the view reads cannot change the view, at only a per-transaction cost
-    (no per-tuple screening needed). *)
-
-val tlocks : t -> Vmat_index.Tlock.t

@@ -1,5 +1,6 @@
 open Vmat_storage
 open Vmat_relalg
+module Btree = Vmat_index.Btree
 
 type change = { before : Tuple.t option; after : Tuple.t option }
 
@@ -26,6 +27,21 @@ let fanout g = max 2 (g.page_bytes / g.index_entry_bytes)
 let blocking_factor g schema = max 1 (g.page_bytes / Schema.tuple_bytes schema)
 
 let no_scalar () = invalid_arg "Strategy.scalar_query: not an aggregate strategy"
+
+let base_relation ctx schema ~key_col initial =
+  let geometry = Ctx.geometry ctx in
+  let tree =
+    Btree.create ~disk:(Ctx.disk ctx) ~name:(Schema.name schema) ~fanout:(fanout geometry)
+      ~leaf_capacity:(blocking_factor geometry schema) ~key_col ()
+  in
+  Btree.bulk_load tree initial;
+  Buffer_pool.invalidate (Btree.pool tree);
+  tree
+
+let hypothetical ?layout ctx ~base ~schema ~ad_buckets =
+  Vmat_hypo.Hr.create ~disk:(Ctx.disk ctx) ~tids:(Ctx.tids ctx) ~base ~schema ~ad_buckets
+    ~tuples_per_page:(blocking_factor (Ctx.geometry ctx) schema)
+    ?layout ~sanitize:(Ctx.sanitizer ctx) ()
 
 (* Observability: run a refresh body inside a trace span that records, at
    span end, how much the refresh actually charged (modeled ms, all

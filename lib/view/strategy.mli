@@ -50,6 +50,22 @@ val blocking_factor : geometry -> Schema.t -> int
 val no_scalar : unit -> float
 (** Shared [scalar_query] for non-aggregate strategies. *)
 
+val base_relation :
+  Ctx.t -> Schema.t -> key_col:int -> Tuple.t list -> Vmat_index.Btree.t
+(** A base relation stored as a clustered B+-tree on [key_col], loaded with
+    the initial tuples; its pool is dropped, so the first metered access
+    reads from disk. *)
+
+val hypothetical :
+  ?layout:Vmat_hypo.Hr.layout ->
+  Ctx.t ->
+  base:Vmat_index.Btree.t ->
+  schema:Schema.t ->
+  ad_buckets:int ->
+  Vmat_hypo.Hr.t
+(** The hypothetical relation over [base], its differential file paged at
+    the context geometry's blocking factor for [schema]. *)
+
 val refresh_span : Cost_meter.t -> view:string -> ?name:string -> (unit -> 'a) -> 'a
 (** [refresh_span meter ~view f] runs the refresh body [f] inside a
     [cat:"view"] trace span (default name ["refresh"]) on the meter's

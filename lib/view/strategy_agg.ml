@@ -12,7 +12,6 @@ type env = {
 
 let meter env = Ctx.meter env.ctx
 let disk env = Ctx.disk env.ctx
-let geometry env = Ctx.geometry env.ctx
 let tids env = Ctx.tids env.ctx
 
 let sp env = env.agg.View_def.a_over
@@ -20,18 +19,7 @@ let sp env = env.agg.View_def.a_over
 let base_cluster_col env = (sp env).sp_positions.((sp env).sp_cluster_out)
 
 let make_base_btree env =
-  let schema = (sp env).sp_base in
-  let col = base_cluster_col env in
-  let tree =
-    Btree.create ~disk:(disk env) ~name:(Schema.name schema)
-      ~fanout:(Strategy.fanout (geometry env))
-      ~leaf_capacity:(Strategy.blocking_factor (geometry env) schema)
-      ~key_col:col
-      ()
-  in
-  Btree.bulk_load tree env.initial;
-  Buffer_pool.invalidate (Btree.pool tree);
-  tree
+  Strategy.base_relation env.ctx (sp env).sp_base ~key_col:(base_cluster_col env) env.initial
 
 let make_screen env =
   Screen.create ~meter:(meter env) ~view_name:env.agg.View_def.a_name
@@ -58,51 +46,28 @@ let write_state env page =
 
 let deferred env =
   let base = make_base_btree env in
-  let hr =
-    Hr.create ~disk:(disk env) ~tids:(tids env) ~base ~schema:(sp env).sp_base ~ad_buckets:env.ad_buckets
-      ~tuples_per_page:(Strategy.blocking_factor (geometry env) (sp env).sp_base)
-      ~sanitize:(Ctx.sanitizer env.ctx) ()
-  in
+  let hr = Strategy.hypothetical env.ctx ~base ~schema:(sp env).sp_base ~ad_buckets:env.ad_buckets in
   let state = initial_state env in
   let page = alloc_state_page env in
   let screen = make_screen env in
+  let mark = Screen.screen screen in
   let handle_transaction changes =
     List.iter
-      (fun (change : Strategy.change) ->
-        let mark = Option.map (Screen.screen screen) in
-        let marked_old = mark change.before and marked_new = mark change.after in
-        match (change.before, change.after) with
-        | Some old_tuple, Some new_tuple ->
-            Hr.apply_update hr ~old_tuple ~new_tuple
-              ~marked_old:(Option.value ~default:false marked_old)
-              ~marked_new:(Option.value ~default:false marked_new)
-        | None, Some tuple ->
-            Hr.apply_insert hr tuple ~marked:(Option.value ~default:false marked_new)
-        | Some tuple, None ->
-            Hr.apply_delete hr tuple ~marked:(Option.value ~default:false marked_old)
-        | None, None -> ())
+      (fun (change : Strategy.change) -> Hr.apply hr ~mark ~before:change.before ~after:change.after)
       changes;
     Hr.end_transaction hr
   in
   let refresh () =
     Strategy.refresh_span (meter env) ~view:env.agg.View_def.a_name @@ fun () ->
     Cost_meter.with_category (meter env) Cost_meter.Refresh (fun () ->
-        let a_net, d_net = Hr.net_changes hr in
         let touched = ref false in
-        List.iter
-          (fun (tuple, marked) ->
-            if marked then begin
-              Aggregate.delete state tuple;
-              touched := true
-            end)
-          d_net;
-        List.iter
-          (fun (tuple, marked) ->
-            if marked then begin
-              Aggregate.insert state tuple;
-              touched := true
-            end)
-          a_net;
+        Hr.drain hr
+          ~delete:(fun tuple ->
+            Aggregate.delete state tuple;
+            touched := true)
+          ~insert:(fun tuple ->
+            Aggregate.insert state tuple;
+            touched := true);
         (* No read is needed: the state is about to be read by the query
            anyway (§3.6); only the write is charged. *)
         if !touched then Disk.write (disk env) page);

@@ -22,18 +22,7 @@ let join_output env l r = View_def.join_output ~tids:(tids env) env.view l r
 let base_cluster_col env = env.view.j_positions_left.(env.view.j_cluster_out)
 
 let make_left_btree env =
-  let schema = env.view.j_left in
-  let col = base_cluster_col env in
-  let tree =
-    Btree.create ~disk:(disk env) ~name:(Schema.name schema)
-      ~fanout:(Strategy.fanout (geometry env))
-      ~leaf_capacity:(Strategy.blocking_factor (geometry env) schema)
-      ~key_col:col
-      ()
-  in
-  Btree.bulk_load tree env.initial_left;
-  Buffer_pool.invalidate (Btree.pool tree);
-  tree
+  Strategy.base_relation env.ctx env.view.j_left ~key_col:(base_cluster_col env) env.initial_left
 
 let make_right_hash env =
   let schema = env.view.j_right in
@@ -75,47 +64,24 @@ let deferred env =
   let m = meter env in
   let base = make_left_btree env in
   let r2 = make_right_hash env in
-  let hr =
-    Hr.create ~disk:(disk env) ~tids:(tids env) ~base ~schema:env.view.j_left ~ad_buckets:env.ad_buckets
-      ~tuples_per_page:(Strategy.blocking_factor (geometry env) env.view.j_left)
-      ~sanitize:(Ctx.sanitizer env.ctx) ()
-  in
+  let hr = Strategy.hypothetical env.ctx ~base ~schema:env.view.j_left ~ad_buckets:env.ad_buckets in
   let mat = make_materialized env in
   let screen = make_screen env in
+  let mark = Screen.screen screen in
   let handle_transaction changes =
     List.iter
-      (fun (change : Strategy.change) ->
-        let mark = Option.map (Screen.screen screen) in
-        let marked_old = mark change.before and marked_new = mark change.after in
-        match (change.before, change.after) with
-        | Some old_tuple, Some new_tuple ->
-            Hr.apply_update hr ~old_tuple ~new_tuple
-              ~marked_old:(Option.value ~default:false marked_old)
-              ~marked_new:(Option.value ~default:false marked_new)
-        | None, Some tuple ->
-            Hr.apply_insert hr tuple ~marked:(Option.value ~default:false marked_new)
-        | Some tuple, None ->
-            Hr.apply_delete hr tuple ~marked:(Option.value ~default:false marked_old)
-        | None, None -> ())
+      (fun (change : Strategy.change) -> Hr.apply hr ~mark ~before:change.before ~after:change.after)
       changes;
     Hr.end_transaction hr
   in
   let refresh () =
     Strategy.refresh_span m ~view:env.view.j_name @@ fun () ->
     Cost_meter.with_category m Cost_meter.Refresh (fun () ->
-        let a_net, d_net = Hr.net_changes hr in
         (* Pages of R2 read for the delete join stay buffered for the insert
            join (§3.4.1); both joins complete before the pool is dropped. *)
-        List.iter
-          (fun (tuple, marked) ->
-            if marked then
-              List.iter (Materialized.apply mat Delete) (probe env r2 m tuple))
-          d_net;
-        List.iter
-          (fun (tuple, marked) ->
-            if marked then
-              List.iter (Materialized.apply mat Insert) (probe env r2 m tuple))
-          a_net;
+        Hr.drain hr
+          ~delete:(fun tuple -> List.iter (Materialized.apply mat Delete) (probe env r2 m tuple))
+          ~insert:(fun tuple -> List.iter (Materialized.apply mat Insert) (probe env r2 m tuple));
         Buffer_pool.invalidate (Hash_file.pool r2);
         Materialized.flush mat);
     Hr.reset hr
@@ -131,7 +97,6 @@ let deferred env =
     view_contents =
       (fun () ->
         let bag = Materialized.to_bag_unmetered mat in
-        let a_net, d_net = Hr.net_changes_unmetered hr in
         let outputs tuple =
           List.filter_map
             (fun right_tuple ->
@@ -142,14 +107,9 @@ let deferred env =
               else None)
             env.initial_right
         in
-        List.iter
-          (fun (tuple, marked) ->
-            if marked then List.iter (fun o -> ignore (Bag.remove bag o)) (outputs tuple))
-          d_net;
-        List.iter
-          (fun (tuple, marked) ->
-            if marked then List.iter (fun o -> ignore (Bag.add bag o)) (outputs tuple))
-          a_net;
+        Hr.pending hr
+          ~delete:(fun tuple -> List.iter (fun o -> ignore (Bag.remove bag o)) (outputs tuple))
+          ~insert:(fun tuple -> List.iter (fun o -> ignore (Bag.add bag o)) (outputs tuple));
         bag);
   }
 

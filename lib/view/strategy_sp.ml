@@ -20,18 +20,7 @@ let sp_output env tuple = View_def.sp_output ~tids:(tids env) env.view tuple
 let base_cluster_col env = env.view.sp_positions.(env.view.sp_cluster_out)
 
 let make_base_btree env =
-  let schema = env.view.sp_base in
-  let col = base_cluster_col env in
-  let tree =
-    Btree.create ~disk:(disk env) ~name:(Schema.name schema)
-      ~fanout:(Strategy.fanout (geometry env))
-      ~leaf_capacity:(Strategy.blocking_factor (geometry env) schema)
-      ~key_col:col
-      ()
-  in
-  Btree.bulk_load tree env.initial;
-  Buffer_pool.invalidate (Btree.pool tree);
-  tree
+  Strategy.base_relation env.ctx env.view.sp_base ~key_col:(base_cluster_col env) env.initial
 
 let make_materialized env =
   let mat =
@@ -50,30 +39,28 @@ let make_screen env =
    modification that writes no column the view reads (predicate columns or
    projected columns) cannot change the view, so it needs neither stage-2
    screening nor maintenance.  The paper applies the test per command at
-   compile time; per change is the same test at a finer grain. *)
-let readily_ignorable env (change : Strategy.change) =
-  match (change.before, change.after) with
-  | Some old_tuple, Some new_tuple when Tuple.arity old_tuple = Tuple.arity new_tuple ->
-      let view_reads =
-        Predicate.columns_read env.view.sp_pred @ Array.to_list env.view.sp_positions
-      in
-      let ignorable = ref true in
-      Array.iteri
-        (fun i v ->
-          if (not (Value.equal v (Tuple.get new_tuple i))) && List.mem i view_reads then
-            ignorable := false)
-        (Tuple.values old_tuple);
-      !ignorable
-  | _ -> false
+   compile time; per change is the same test at a finer grain.  [reads] is
+   {!view_reads}, computed once per engine. *)
+let view_reads env = Predicate.columns_read env.view.sp_pred @ Array.to_list env.view.sp_positions
+
+let rec writes_no_read reads old_tuple new_tuple i =
+  i >= Tuple.arity old_tuple
+  || ((not (List.mem i reads)) || Value.equal (Tuple.get old_tuple i) (Tuple.get new_tuple i))
+     && writes_no_read reads old_tuple new_tuple (i + 1)
+
+let readily_ignorable reads ~old_tuple ~new_tuple =
+  Tuple.arity old_tuple = Tuple.arity new_tuple && writes_no_read reads old_tuple new_tuple 0
 
 (* Screening of one change: both the deleted and the inserted image are
    screened (each is an insertion into or deletion from the base relation),
    unless the RIU test already rules the change out. *)
-let screen_change env screen (change : Strategy.change) =
-  if readily_ignorable env change then (Some false, Some false)
-  else
-    let mark = Option.map (Screen.screen screen) in
-    (mark change.before, mark change.after)
+let screen_change reads screen (change : Strategy.change) =
+  match (change.before, change.after) with
+  | Some old_tuple, Some new_tuple when readily_ignorable reads ~old_tuple ~new_tuple ->
+      (Some false, Some false)
+  | before, after ->
+      let mark = Option.map (Screen.screen screen) in
+      (mark before, mark after)
 
 let logical_view_of_tuples env tuples =
   Delta.recompute_sp ~tids:(tids env) env.view tuples
@@ -124,28 +111,18 @@ let deferred_with_policy_internal ?layout ~policy ~name env =
   let m = meter env in
   let base = make_base_btree env in
   let hr =
-    Hr.create ~disk:(disk env) ~tids:(tids env) ~base ~schema:env.view.sp_base
-      ~ad_buckets:env.ad_buckets
-      ~tuples_per_page:(Strategy.blocking_factor (geometry env) env.view.sp_base)
-      ?layout
-      ~sanitize:(Ctx.sanitizer env.ctx) ()
+    Strategy.hypothetical ?layout env.ctx ~base ~schema:env.view.sp_base ~ad_buckets:env.ad_buckets
   in
   let mat = make_materialized env in
   let screen = make_screen env in
+  let reads = view_reads env in
+  let mark = Screen.screen screen in
+  let delete tuple = Materialized.apply mat Delete (sp_output env tuple)
+  and insert tuple = Materialized.apply mat Insert (sp_output env tuple) in
   let refresh ?(category = Cost_meter.Refresh) () =
     Strategy.refresh_span m ~view:env.view.sp_name (fun () ->
         Cost_meter.with_category m category (fun () ->
-            let a_net, d_net = Hr.net_changes hr in
-            List.iter
-              (fun (tuple, marked) ->
-                if marked then
-                  Materialized.apply mat Delete (sp_output env tuple))
-              d_net;
-            List.iter
-              (fun (tuple, marked) ->
-                if marked then
-                  Materialized.apply mat Insert (sp_output env tuple))
-              a_net;
+            Hr.drain hr ~delete ~insert;
             Materialized.flush mat);
         Hr.reset hr;
         check_refresh_equals_recompute env ~name base mat)
@@ -154,17 +131,10 @@ let deferred_with_policy_internal ?layout ~policy ~name env =
   let handle_transaction changes =
     List.iter
       (fun (change : Strategy.change) ->
-        let marked_old, marked_new = screen_change env screen change in
         match (change.before, change.after) with
-        | Some old_tuple, Some new_tuple ->
-            Hr.apply_update hr ~old_tuple ~new_tuple
-              ~marked_old:(Option.value ~default:false marked_old)
-              ~marked_new:(Option.value ~default:false marked_new)
-        | None, Some tuple ->
-            Hr.apply_insert hr tuple ~marked:(Option.value ~default:false marked_new)
-        | Some tuple, None ->
-            Hr.apply_delete hr tuple ~marked:(Option.value ~default:false marked_old)
-        | None, None -> ())
+        | Some old_tuple, Some new_tuple when readily_ignorable reads ~old_tuple ~new_tuple ->
+            Hr.apply_ignorable hr ~old_tuple ~new_tuple
+        | before, after -> Hr.apply hr ~mark ~before ~after)
       changes;
     Hr.end_transaction hr;
     incr txns_since_refresh;
@@ -190,15 +160,9 @@ let deferred_with_policy_internal ?layout ~policy ~name env =
       view_contents =
         (fun () ->
           let bag = Materialized.to_bag_unmetered mat in
-          let a_net, d_net = Hr.net_changes_unmetered hr in
-          List.iter
-            (fun (tuple, marked) ->
-              if marked then ignore (Bag.remove bag (sp_output env tuple)))
-            d_net;
-          List.iter
-            (fun (tuple, marked) ->
-              if marked then ignore (Bag.add bag (sp_output env tuple)))
-            a_net;
+          Hr.pending hr
+            ~delete:(fun tuple -> ignore (Bag.remove bag (sp_output env tuple)))
+            ~insert:(fun tuple -> ignore (Bag.add bag (sp_output env tuple)));
           bag);
     },
     refresh,
@@ -268,6 +232,7 @@ let immediate env =
   let base = make_base_btree env in
   let mat = make_materialized env in
   let screen = make_screen env in
+  let reads = view_reads env in
   let update_base (change : Strategy.change) =
     Cost_meter.with_category m Cost_meter.Base (fun () ->
         Option.iter
@@ -282,7 +247,7 @@ let immediate env =
     List.iter
       (fun (change : Strategy.change) ->
         update_base change;
-        let marked_old, marked_new = screen_change env screen change in
+        let marked_old, marked_new = screen_change reads screen change in
         (match (change.before, marked_old) with
         | Some tuple, Some true -> marked_deletes := tuple :: !marked_deletes
         | _ -> ());
@@ -504,6 +469,7 @@ let recompute env =
   let base = make_base_btree env in
   let mat = make_materialized env in
   let screen = make_screen env in
+  let reads = view_reads env in
   let dirty = ref false in
   let handle_transaction changes =
     Cost_meter.with_category m Cost_meter.Base (fun () ->
@@ -519,7 +485,7 @@ let recompute env =
         Buffer_pool.invalidate (Btree.pool base));
     List.iter
       (fun change ->
-        let marked_old, marked_new = screen_change env screen change in
+        let marked_old, marked_new = screen_change reads screen change in
         if marked_old = Some true || marked_new = Some true then dirty := true)
       changes
   in

@@ -241,7 +241,7 @@ let test_hr_split_layout_semantics () =
   Alcotest.(check int) "base folded" 2 (Btree.tuple_count base)
 
 (* ------------------------------------------------------------------ *)
-(* Multi-view                                                          *)
+(* Multi-view: one fleet, every view kept materialized (§4)            *)
 (* ------------------------------------------------------------------ *)
 
 let make_views base =
@@ -258,8 +258,8 @@ let test_multiview_matches_separate_instances () =
   let base = dataset.m1_schema in
   let views = make_views base in
   let multi =
-    Multi_view.create ~ctx:(fresh_ctx ()) ~base ~views ~initial:dataset.m1_tuples
-      ~ad_buckets:4 ()
+    Fleet.create ~ctx:(fresh_ctx ()) ~base ~views ~initial:dataset.m1_tuples ~ad_buckets:4
+      ~advisor:None ()
   in
   let separate =
     List.map
@@ -281,7 +281,7 @@ let test_multiview_matches_separate_instances () =
     (fun op ->
       match op with
       | Stream.Txn changes ->
-          Multi_view.handle_transaction multi changes;
+          Fleet.handle_transaction multi changes;
           List.iter (fun (_, s) -> s.Strategy.handle_transaction changes) separate
       | Stream.Query q ->
           List.iter
@@ -296,7 +296,7 @@ let test_multiview_matches_separate_instances () =
                   results;
                 bag
               in
-              let from_multi = bag_of (Multi_view.answer_query multi ~view:name q) in
+              let from_multi = bag_of (Fleet.answer_query multi ~view:name q) in
               let from_single = bag_of (s.Strategy.answer_query q) in
               if not (Bag.equal from_multi from_single) then
                 Alcotest.failf "view %s: multi != single" name)
@@ -305,13 +305,13 @@ let test_multiview_matches_separate_instances () =
   (* final contents agree too *)
   List.iter
     (fun (name, s) ->
-      if not (Bag.equal (Multi_view.view_contents multi ~view:name) (s.Strategy.view_contents ()))
+      if not (Bag.equal (Fleet.view_contents multi ~view:name) (s.Strategy.view_contents ()))
       then Alcotest.failf "view %s: final contents differ" name)
     separate
 
 let test_multiview_shares_ad_read () =
-  (* one shared refresh serves all views: the multi-view manager's Refresh
-     I/O is below the sum of three separate deferred instances *)
+  (* one shared refresh serves all views: the fleet's Refresh and Hr I/O is
+     below the sum of three separate deferred instances *)
   let rng = Rng.create 55 in
   let dataset = Dataset.make_model1 ~rng ~tids:test_tids ~n:400 ~f:0.9 ~s_bytes:100 in
   let base = dataset.m1_schema in
@@ -328,21 +328,20 @@ let test_multiview_shares_ad_read () =
   let ctx = fresh_ctx () in
   let meter = Ctx.meter ctx in
   let multi =
-    Multi_view.create ~ctx ~base ~views ~initial:dataset.m1_tuples ~ad_buckets:4 ()
+    Fleet.create ~ctx ~base ~views ~initial:dataset.m1_tuples ~ad_buckets:4 ~advisor:None ()
   in
   Cost_meter.reset meter;
   List.iter
     (fun op ->
       match op with
-      | Stream.Txn changes -> Multi_view.handle_transaction multi changes
+      | Stream.Txn changes -> Fleet.handle_transaction multi changes
       | Stream.Query q ->
-          List.iter (fun v -> ignore (Multi_view.answer_query multi ~view:v q))
-            (Multi_view.view_names multi))
+          List.iter (fun v -> ignore (Fleet.answer_query multi ~view:v q)) (Fleet.view_names multi))
     ops;
   let shared_hr_and_refresh =
     Cost_meter.cost meter Cost_meter.Refresh +. Cost_meter.cost meter Cost_meter.Hr
   in
-  Alcotest.(check bool) "refreshed at least once" true (Multi_view.refreshes multi > 0);
+  Alcotest.(check bool) "refreshed at least once" true (Fleet.refreshes multi > 0);
   (* separate instances *)
   let separate_total =
     List.fold_left
@@ -374,15 +373,15 @@ let test_multiview_validation () =
   let rng = Rng.create 56 in
   let dataset = Dataset.make_model1 ~rng ~tids:test_tids ~n:20 ~f:0.5 ~s_bytes:100 in
   (match
-     Multi_view.create ~ctx:(fresh_ctx ()) ~base:dataset.m1_schema ~views:[]
-       ~initial:dataset.m1_tuples ~ad_buckets:2 ()
+     Fleet.create ~ctx:(fresh_ctx ()) ~base:dataset.m1_schema ~views:[]
+       ~initial:dataset.m1_tuples ~ad_buckets:2 ~advisor:None ()
    with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "empty view list accepted");
   let v = List.hd (make_views dataset.m1_schema) in
   match
-    Multi_view.create ~ctx:(fresh_ctx ()) ~base:dataset.m1_schema ~views:[ v; v ]
-      ~initial:dataset.m1_tuples ~ad_buckets:2 ()
+    Fleet.create ~ctx:(fresh_ctx ()) ~base:dataset.m1_schema ~views:[ v; v ]
+      ~initial:dataset.m1_tuples ~ad_buckets:2 ~advisor:None ()
   with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "duplicate names accepted"
@@ -618,6 +617,100 @@ let test_riu_skips_screening_and_maintenance () =
   Alcotest.(check bool) "non-RIU updates still screened" true
     (List.assoc Cost_meter.Screen hot.Runner.category_costs > 0.)
 
+(* An RIU modification and a screened change to one tuple in one refresh
+   epoch.  The RIU change's two A/D entries are unscreened, and cancellation
+   pairs one of them with a screened entry of the same tuple instance, so
+   the surviving half must take that entry's screening result: otherwise
+   the old view row is kept ([note; amount]) or the new one is lost
+   ([amount; note]).  Every deferred-family engine must answer like query
+   modification and hold the recomputed contents, whether each step is its
+   own transaction or all share one. *)
+
+type riu_step = Note | Amount | Delete
+
+let riu_chains =
+  [
+    ("note, amount", [ Note; Amount ]);
+    ("amount, note", [ Amount; Note ]);
+    ("note, delete", [ Note; Delete ]);
+    ("note, note, amount", [ Note; Note; Amount ]);
+    ("amount, note, note", [ Amount; Note; Note ]);
+    ("note, amount, note", [ Note; Amount; Note ]);
+  ]
+
+let riu_dataset () =
+  Dataset.make_model1 ~rng:(Rng.create 93) ~tids:test_tids ~n:60 ~f:0.7 ~s_bytes:100
+
+(* The chain's changes, each image with a fresh tid, starting from [first]
+   (already in the relation) or inserting it first. *)
+let riu_changes ~insert_first first steps =
+  let bump col tuple =
+    let v =
+      match Tuple.get tuple col with
+      | Value.Float a -> Value.Float (a +. 1.)
+      | Value.Str s -> Value.Str (s ^ "'")
+      | v -> v
+    in
+    Tuple.with_tid (Tuple.set tuple col v) (Tuple.next test_tids)
+  in
+  let rec go current = function
+    | [] -> []
+    | Delete :: rest -> Strategy.delete current :: go current rest
+    | ((Note | Amount) as step) :: rest ->
+        let next = bump (match step with Note -> 3 | _ -> 2) current in
+        Strategy.modify ~old_tuple:current ~new_tuple:next :: go next rest
+  in
+  (if insert_first then [ Strategy.insert first ] else []) @ go first steps
+
+let check_riu_chain ~name ~pad ctor ~chain ~insert_first ~first steps ~one_txn =
+  let dataset = riu_dataset () in
+  let engine = ctor (sp_env dataset (fresh_ctx ())) in
+  let qmod = Strategy_sp.qmod_sequential (sp_env dataset (fresh_ctx ())) in
+  let recompute = Strategy_sp.recompute (sp_env dataset (fresh_ctx ())) in
+  let changes = riu_changes ~insert_first (first dataset) steps in
+  let txns = if one_txn then [ changes ] else List.map (fun c -> [ c ]) changes in
+  let txns = txns @ List.init (pad (List.length txns)) (fun _ -> []) in
+  List.iter
+    (fun txn ->
+      List.iter (fun (s : Strategy.t) -> s.Strategy.handle_transaction txn) [ engine; qmod; recompute ])
+    txns;
+  let full = { Strategy.q_lo = Value.Float (-1.); q_hi = Value.Float 2. } in
+  let bag_of rows =
+    let bag = Bag.create () in
+    List.iter (fun (t, c) -> Bag.add_count bag t c) rows;
+    bag
+  in
+  let case = Printf.sprintf "%s, %s, %s" name chain (if one_txn then "one txn" else "txn per step") in
+  let got = engine.Strategy.answer_query full and want = qmod.Strategy.answer_query full in
+  if not (Bag.equal (bag_of got) (bag_of want)) then
+    Alcotest.failf "%s: %d rows answered, query modification answers %d" case (List.length got)
+      (List.length want);
+  if not (Bag.equal (engine.Strategy.view_contents ()) (recompute.Strategy.view_contents ())) then
+    Alcotest.failf "%s: contents differ from recompute" case
+
+let test_riu_chains ?(pad = fun _ -> 0) ctor name () =
+  (* a tuple in the view (pval < 0.7), and a fresh one to insert *)
+  let in_view dataset =
+    List.find
+      (fun t -> match Tuple.get t 1 with Value.Float p -> p < 0.5 | _ -> false)
+      dataset.Dataset.m1_tuples
+  in
+  let fresh _ =
+    Tuple.make ~tid:(Tuple.next test_tids)
+      [| Value.Int 1000; Value.Float 0.25; Value.Float 5.; Value.Str "p" |]
+  in
+  List.iter
+    (fun one_txn ->
+      List.iter
+        (fun (chain, steps) ->
+          check_riu_chain ~name ~pad ctor ~chain ~insert_first:false ~first:in_view steps ~one_txn)
+        riu_chains;
+      (* insert p, RIU p -> x, amount x -> z: cancelling the screened insert
+         against the RIU delete must not leave a delete of an absent row *)
+      check_riu_chain ~name ~pad ctor ~chain:"insert, note, amount" ~insert_first:true ~first:fresh
+        [ Note; Amount ] ~one_txn)
+    [ false; true ]
+
 (* ------------------------------------------------------------------ *)
 (* Cost-model extensions                                               *)
 (* ------------------------------------------------------------------ *)
@@ -716,6 +809,18 @@ let suites =
       [
         Alcotest.test_case "RIU skips screening and maintenance" `Quick
           test_riu_skips_screening_and_maintenance;
+        Alcotest.test_case "RIU chains: deferred" `Quick
+          (test_riu_chains Strategy_sp.deferred "deferred");
+        Alcotest.test_case "RIU chains: deferred-async" `Quick
+          (test_riu_chains Strategy_sp.deferred_async "deferred-async");
+        Alcotest.test_case "RIU chains: deferred-split-ad" `Quick
+          (test_riu_chains Strategy_sp.deferred_split_ad "deferred-split-ad");
+        Alcotest.test_case "RIU chains: deferred-every-4" `Quick
+          (test_riu_chains (Strategy_sp.deferred_periodic ~every:4) "deferred-every-4");
+        Alcotest.test_case "RIU chains: snapshot after its period" `Quick
+          (test_riu_chains
+             ~pad:(fun txns -> 4 - txns)
+             (Strategy_sp.snapshot ~period:4) "snapshot-4");
       ] );
     ( "ext.cost-model",
       [

@@ -205,10 +205,10 @@ let test_advisor_min_evidence_and_build_gate () =
   | _ -> Alcotest.fail "build break-even gate must block promotion"
 
 (* ------------------------------------------------------------------ *)
-(* Multi_view base_cluster satellite                                   *)
+(* Multi-view base clustering (a fleet with the advisor off)            *)
 (* ------------------------------------------------------------------ *)
 
-let mk_multiview ?base_cluster seed =
+let mk_static_fleet ?base_cluster seed =
   let rng = Rng.create (31 + seed) in
   let tids = Tuple.source () in
   let dataset = Dataset.make_model1 ~rng ~tids ~n:300 ~f:0.5 ~s_bytes:100 in
@@ -230,8 +230,8 @@ let mk_multiview ?base_cluster seed =
   in
   let ctx = Ctx.create ~geometry ~first_tid:(Tuple.peek tids) () in
   let engine =
-    Multi_view.create ~ctx ~base ~views ~initial:dataset.Dataset.m1_tuples ~ad_buckets:4
-      ?base_cluster ()
+    Fleet.create ~ctx ~base ~views ~initial:dataset.Dataset.m1_tuples ~ad_buckets:4
+      ~advisor:None ?base_cluster ()
   in
   (engine, ops)
 
@@ -242,18 +242,18 @@ let answer_bag answers =
 
 let test_multiview_base_cluster_paths () =
   let run base_cluster =
-    let engine, ops = mk_multiview ?base_cluster 0 in
+    let engine, ops = mk_static_fleet ?base_cluster 0 in
     let bags = ref [] in
     List.iter
       (fun op ->
         match op with
-        | Stream.Txn changes -> Multi_view.handle_transaction engine changes
+        | Stream.Txn changes -> Fleet.handle_transaction engine changes
         | Stream.Query q ->
             List.iter
-              (fun v -> bags := answer_bag (Multi_view.answer_query engine ~view:v q) :: !bags)
-              (Multi_view.view_names engine))
+              (fun v -> bags := answer_bag (Fleet.answer_query engine ~view:v q) :: !bags)
+              (Fleet.view_names engine))
       ops;
-    (List.rev !bags, Multi_view.view_contents engine ~view:"p", Multi_view.view_contents engine ~view:"a")
+    (List.rev !bags, Fleet.view_contents engine ~view:"p", Fleet.view_contents engine ~view:"a")
   in
   let bags_default, p_default, a_default = run None in
   let bags_amount, p_amount, a_amount = run (Some "amount") in
@@ -266,8 +266,8 @@ let test_multiview_base_cluster_paths () =
 
 let test_multiview_bad_base_cluster () =
   Alcotest.check_raises "unknown base_cluster column"
-    (Invalid_argument "Multi_view.create: base_cluster nope is not a column of R") (fun () ->
-      ignore (mk_multiview ?base_cluster:(Some "nope") 0))
+    (Invalid_argument "Fleet.create: base_cluster nope is not a column of R") (fun () ->
+      ignore (mk_static_fleet ?base_cluster:(Some "nope") 0))
 
 (* ------------------------------------------------------------------ *)
 (* Zipf fleet streams                                                  *)
@@ -359,7 +359,7 @@ let test_fleet_no_advisor_matches () =
   Alcotest.(check int) "no demotions without an advisor" 0 r.Fleet_report.r_demotions
 
 (* Fleet answers must also agree with a plain per-view deferred strategy
-   (ties the fleet to the strategy stack, not just to Multi_view). *)
+   (ties the fleet to the strategy stack, not just to one-view fleets). *)
 let test_fleet_matches_deferred_strategy () =
   let rng = Rng.create 41 in
   let gen_tids = Tuple.source () in
@@ -428,6 +428,174 @@ let prop_fleet_oracle_equivalence =
       in
       (Fleet_report.run_comparison opts).Fleet_report.r_match)
 
+(* ------------------------------------------------------------------ *)
+(* Fleet == per-view references that share no engine code with it      *)
+(* ------------------------------------------------------------------ *)
+
+(* Replay [ops] against the fleet and, for each view, against a deferred
+   strategy and query modification over a heap scan: every answer and every
+   final content must agree.  Returns the first disagreement. *)
+let check_against_references ~base ~views ~initial ~first_tid ~advisor ?base_cluster ops =
+  let ctx () = Ctx.create ~geometry ~first_tid () in
+  let fleet =
+    Fleet.create ~ctx:(ctx ()) ~base ~views ~initial ~ad_buckets:4 ~advisor ?base_cluster ()
+  in
+  let per_view ctor =
+    Array.of_list
+      (List.map (fun view -> ctor { Strategy_sp.ctx = ctx (); view; initial; ad_buckets = 4 }) views)
+  in
+  let deferred = per_view Strategy_sp.deferred and qmod = per_view Strategy_sp.qmod_sequential in
+  let names = Array.of_list (List.map (fun (v : View_def.sp) -> v.sp_name) views) in
+  let mismatch = ref None in
+  let expect what ok = if (not ok) && Option.is_none !mismatch then mismatch := Some what in
+  List.iteri
+    (fun i op ->
+      match op with
+      | Stream.Ftxn changes ->
+          Fleet.handle_transaction fleet changes;
+          Array.iter (fun (s : Strategy.t) -> s.Strategy.handle_transaction changes) deferred;
+          Array.iter (fun (s : Strategy.t) -> s.Strategy.handle_transaction changes) qmod
+      | Stream.Fquery (v, q) ->
+          let want = answer_bag (qmod.(v).Strategy.answer_query q) in
+          let fleet_rows = answer_bag (Fleet.answer_query fleet ~view:names.(v) q) in
+          let deferred_rows = answer_bag (deferred.(v).Strategy.answer_query q) in
+          expect (Printf.sprintf "op %d: fleet answer on %s" i names.(v)) (Bag.equal fleet_rows want);
+          expect
+            (Printf.sprintf "op %d: deferred answer on %s" i names.(v))
+            (Bag.equal deferred_rows want))
+    ops;
+  Array.iteri
+    (fun v name ->
+      let want = qmod.(v).Strategy.view_contents () in
+      expect ("final fleet contents of " ^ name) (Bag.equal (Fleet.view_contents fleet ~view:name) want);
+      expect ("final deferred contents of " ^ name)
+        (Bag.equal (deferred.(v).Strategy.view_contents ()) want))
+    names;
+  !mismatch
+
+(* A random fleet over few amounts, so that alias classes, group hulls and
+   readily-ignorable modifications all occur: views project [pval],
+   [amount] or both and cluster on either column, and the stream writes
+   amount (often to the value it had), note (read by no view) and pval,
+   several transactions per query, with tuples changed more than once in
+   one transaction. *)
+let amounts = [| 10.; 20.; 30. |]
+
+let random_fleet_case ~seed ~views ~per_query =
+  let rng = Rng.create seed in
+  let tids = Tuple.source () in
+  let base = base_schema () in
+  let n = 40 + Rng.int rng 40 in
+  let amount () = Value.Float amounts.(Rng.int rng (Array.length amounts)) in
+  let tuples =
+    Array.init n (fun id ->
+        Tuple.make ~tid:(Tuple.next tids)
+          [| Value.Int id; Value.Float (Rng.float rng); amount (); Value.Str (Printf.sprintf "n%d" id) |])
+  in
+  let initial = Array.to_list tuples in
+  let defs =
+    Array.init
+      (1 + Rng.int rng (max 1 (views - 1)))
+      (fun _ ->
+        let pred, cluster =
+          if Rng.int rng 3 = 0 then
+            let lo = 10. *. float_of_int (Rng.int rng 3) in
+            ( Predicate.Between (2, Value.Float (lo -. 5.), Value.Float (lo +. 5. +. (10. *. float_of_int (Rng.int rng 2)))),
+              "amount" )
+          else
+            let lo = 0.6 *. Rng.float rng in
+            (between lo (lo +. 0.1 +. (0.3 *. Rng.float rng)), "pval")
+        in
+        let project =
+          match Rng.int rng 3 with 0 -> [ cluster ] | 1 -> [ "pval"; "amount" ] | _ -> [ "amount"; "pval" ]
+        in
+        (pred, cluster, project))
+  in
+  let views =
+    List.init views (fun i ->
+        let pred, cluster, project = defs.(Rng.int rng (Array.length defs)) in
+        sp ~project ~cluster (Printf.sprintf "v%d" i) pred base)
+  in
+  let query_of (v : View_def.sp) =
+    if String.equal (Schema.column_name base v.sp_positions.(v.sp_cluster_out)) "amount" then
+      let lo = 5. *. float_of_int (Rng.int rng 6) in
+      { Strategy.q_lo = Value.Float lo; q_hi = Value.Float (lo +. 15.) }
+    else
+      let lo = 0.8 *. Rng.float rng in
+      { Strategy.q_lo = Value.Float lo; q_hi = Value.Float (lo +. 0.3) }
+  in
+  let next_id = ref n in
+  let change () =
+    let idx = Rng.int rng n in
+    let old_tuple = tuples.(idx) in
+    let rewrite col v = Tuple.with_tid (Tuple.set old_tuple col v) (Tuple.next tids) in
+    match Rng.int rng 4 with
+    | 3 ->
+        (* delete, and insert a new tuple in its slot *)
+        let fresh =
+          Tuple.make ~tid:(Tuple.next tids)
+            [| Value.Int !next_id; Value.Float (Rng.float rng); amount (); Value.Str "new" |]
+        in
+        incr next_id;
+        tuples.(idx) <- fresh;
+        [ Strategy.delete old_tuple; Strategy.insert fresh ]
+    | kind ->
+        let new_tuple =
+          match kind with
+          | 0 -> rewrite 2 (amount ())
+          | 1 -> rewrite 3 (Value.Str (Printf.sprintf "m%d" (Rng.int rng 1000)))
+          | _ -> rewrite 1 (Value.Float (Rng.float rng))
+        in
+        tuples.(idx) <- new_tuple;
+        [ Strategy.modify ~old_tuple ~new_tuple ]
+  in
+  let view_arr = Array.of_list views in
+  let ops =
+    List.concat
+      (List.init 12 (fun _ ->
+           List.init per_query (fun _ ->
+               Stream.Ftxn (List.concat (List.init (1 + Rng.int rng 4) (fun _ -> change ()))))
+           @ List.init 2 (fun _ ->
+                 let v = Rng.int rng (Array.length view_arr) in
+                 Stream.Fquery (v, query_of view_arr.(v)))))
+  in
+  (base, views, initial, ops, Tuple.peek tids)
+
+let prop_fleet_matches_references =
+  QCheck.Test.make ~name:"fleet == per-view deferred and qmod (random fleets, RIU chains)" ~count:25
+    QCheck.(quad (int_range 0 10_000) (int_range 1 12) (int_range 1 4) (pair bool (int_range 0 2)))
+    (fun (seed, views, per_query, (advisor_on, cluster)) ->
+      let base, views, initial, ops, first_tid = random_fleet_case ~seed ~views ~per_query in
+      let advisor =
+        if advisor_on then Some { Fleet_advisor.default_config with Fleet_advisor.decide_every = 3 }
+        else None
+      in
+      let base_cluster = List.nth [ None; Some "pval"; Some "amount" ] cluster in
+      match check_against_references ~base ~views ~initial ~first_tid ~advisor ?base_cluster ops with
+      | None -> true
+      | Some what -> QCheck.Test.fail_report what)
+
+(* The bench's fleet section at 256 views and scale 0.05. *)
+let test_bench_fleet_stream_matches_references () =
+  let opts =
+    {
+      Fleet_report.default_opts with
+      Fleet_report.ro_views = 256;
+      ro_n_tuples = 100;
+      ro_k = 10;
+      ro_l = 8;
+      ro_q = 40;
+      ro_seed = 11;
+    }
+  in
+  let inp = Fleet_report.inputs opts in
+  match
+    check_against_references ~base:inp.Fleet_report.in_base ~views:inp.in_views
+      ~initial:inp.in_initial ~first_tid:inp.in_first_tid ~advisor:opts.ro_advisor inp.in_ops
+  with
+  | None -> ()
+  | Some what -> Alcotest.fail what
+
 let qcheck = List.map QCheck_alcotest.to_alcotest
 
 let suites =
@@ -469,6 +637,8 @@ let suites =
           test_fleet_advisor_active_and_exact;
         Alcotest.test_case "static fleet (advisor off)" `Quick test_fleet_no_advisor_matches;
         Alcotest.test_case "matches deferred strategy" `Quick test_fleet_matches_deferred_strategy;
+        Alcotest.test_case "bench stream matches references" `Quick
+          test_bench_fleet_stream_matches_references;
       ]
-      @ qcheck [ prop_fleet_oracle_equivalence ] );
+      @ qcheck [ prop_fleet_oracle_equivalence; prop_fleet_matches_references ] );
   ]

@@ -310,6 +310,27 @@ let test_answer_alloc_pin () =
   let per_row = words /. float_of_int returned in
   Alcotest.(check bool) (Printf.sprintf "%.2f words per row <= 22" per_row) true (per_row <= 22.)
 
+(* Words per projected two-float row (the boxing step of every SP refresh
+   and of a fleet's base scan): the tuple (4), its cell array (3) and two
+   boxed floats (4 each) make 15; a per-row closure would break the pin. *)
+let test_project_alloc_pin () =
+  let page = Flat.create () in
+  let n = 1000 in
+  for i = 0 to n - 1 do
+    ignore (Flat.append page (base i (float_of_int i /. float_of_int n) (float_of_int i)))
+  done;
+  let positions = [| 1; 2 |] in
+  let w0 = Alloc_meter.words () in
+  for i = 0 to n - 1 do
+    ignore (Sys.opaque_identity (Flat.project page i positions ~tid:i))
+  done;
+  let words = Alloc_meter.words () -. w0 in
+  (* the meter itself accounts for up to 16 words of the bracket *)
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words for %d rows <= 15 per row + 16" words n)
+    true
+    (words <= (15. *. float_of_int n) +. 16.)
+
 (* ------------------------------------------------------------------ *)
 (* Differential update algorithm                                       *)
 (* ------------------------------------------------------------------ *)
@@ -458,16 +479,6 @@ let test_screen_no_false_negatives () =
         Alcotest.failf "false negative at %f" pval)
     [ 0.05; 0.1; 0.15; 0.2; 0.25; 0.5; 0.79; 0.8; 0.95 ]
 
-let test_riu () =
-  let meter = Cost_meter.create () in
-  let screen =
-    Screen.create ~meter ~view_name:"V" ~pred:(Cmp (Lt, Column 1, Const (Value.Float 0.5))) ()
-  in
-  Alcotest.(check bool) "writes other columns" true
-    (Screen.readily_ignorable screen ~written_columns:[ 2; 3 ]);
-  Alcotest.(check bool) "writes predicate column" false
-    (Screen.readily_ignorable screen ~written_columns:[ 1 ])
-
 (* ------------------------------------------------------------------ *)
 (* Aggregates                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -569,6 +580,7 @@ let suites =
         Alcotest.test_case "rebuild/bag" `Quick test_mat_rebuild_and_bag;
         Alcotest.test_case "write coalescing" `Quick test_mat_write_coalescing;
         Alcotest.test_case "answer allocation pin" `Quick test_answer_alloc_pin;
+        Alcotest.test_case "project allocation pin" `Quick test_project_alloc_pin;
       ]
       @ qcheck [ prop_answer_matches_reference ] );
     ( "view.delta",
@@ -585,7 +597,6 @@ let suites =
         Alcotest.test_case "two stages" `Quick test_screen_stages;
         Alcotest.test_case "unindexable predicate" `Quick test_screen_unindexable_predicate;
         Alcotest.test_case "no false negatives" `Quick test_screen_no_false_negatives;
-        Alcotest.test_case "RIU" `Quick test_riu;
       ] );
     ( "view.aggregate",
       [
