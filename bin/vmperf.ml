@@ -147,6 +147,19 @@ let count_conv ~least ~hint =
 let nonneg_int = count_conv ~least:0 ~hint:"N >= 0"
 let pos_int = count_conv ~least:1 ~hint:"N >= 1"
 
+(* Validated float converters, on the same terms (NaN is out of range). *)
+let float_conv ~ok ~hint =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when ok x -> Ok x
+    | Some x -> Error (`Msg (Printf.sprintf "%g is out of range; expected %s" x hint))
+    | None -> Error (`Msg (Printf.sprintf "%S is not a number" s))
+  in
+  Arg.conv ~docv:"FLOAT" (parse, Format.pp_print_float)
+
+let unit_float = float_conv ~ok:(fun x -> x >= 0. && x <= 1.) ~hint:"0 <= X <= 1"
+let nonneg_float = float_conv ~ok:(fun x -> x >= 0.) ~hint:"X >= 0"
+
 (* ------------------------------------------------------------------ *)
 (* Observability flags (simulate / adapt / top)                        *)
 (* ------------------------------------------------------------------ *)
@@ -1370,39 +1383,39 @@ let recover_cmd =
 
 let fleet_cmd =
   let views_term =
-    Arg.(value & opt int 64 & info [ "views" ] ~docv:"N" ~doc:"Number of views in the fleet.")
+    Arg.(value & opt pos_int 64 & info [ "views" ] ~docv:"N" ~doc:"Number of views in the fleet.")
   in
   let overlap_term =
     Arg.(
       value
-      & opt float 0.5
+      & opt unit_float 0.5
       & info [ "overlap" ] ~docv:"FLOAT"
           ~doc:"Fraction of views that alias an earlier definition exactly.")
   in
   let subsume_term =
     Arg.(
       value
-      & opt float 0.25
+      & opt unit_float 0.25
       & info [ "subsume" ] ~docv:"FLOAT"
           ~doc:"Probability a fresh definition tightens an earlier one's range.")
   in
   let hetero_term =
     Arg.(
       value
-      & opt float 0.2
+      & opt unit_float 0.2
       & info [ "hetero" ] ~docv:"FLOAT"
           ~doc:"Probability a definition clusters on amount instead of pval.")
   in
   let zipf_term =
     Arg.(
       value
-      & opt float 1.1
+      & opt nonneg_float 1.1
       & info [ "zipf" ] ~docv:"S" ~doc:"Zipf exponent of the query popularity across views.")
   in
   let decide_term =
     Arg.(
       value
-      & opt int 8
+      & opt pos_int 8
       & info [ "decide-every" ] ~docv:"N" ~doc:"Fleet queries between advisor decision points.")
   in
   let no_advisor_term =
@@ -1475,9 +1488,13 @@ let fleet_cmd =
     | events ->
         Printf.printf "advisor events (%d):\n" (List.length events);
         List.iter
-          (fun e ->
-            Printf.printf "  after query %4d: %-7s %-20s score %+.1f\n" e.Fleet.ev_query
-              e.Fleet.ev_action e.Fleet.ev_node e.Fleet.ev_score)
+          (fun (e : Fleet.event) ->
+            let c = e.ev_costs in
+            Printf.printf
+              "  after query %4d: %-7s %-20s score %+.1f (margin %.1f; per window %.2f queries, \
+               %.2f deltas; qc_mat %.1f qc_trans %.1f apply_mat %.1f build %.1f)\n"
+              e.ev_query e.ev_action e.ev_node e.ev_score e.ev_margin e.ev_query_rate
+              e.ev_delta_rate c.Fleet_advisor.qc_mat c.qc_trans c.apply_mat c.build)
           events);
     print_newline ();
     Printf.printf "%d views -> %d classes (+%d aliases), %d groups, %d materialized at end\n"
@@ -1531,5 +1548,5 @@ let () =
       Printf.eprintf "sanitizer violation: %s\n" message;
       exit 3
   | Ok (`Ok () | `Version | `Help) -> exit 0
-  | Error `Parse -> exit Cmd.Exit.cli_error
+  | Error `Parse -> exit 2
   | Error (`Term | `Exn) -> exit Cmd.Exit.internal_error

@@ -30,28 +30,12 @@ let to_human f =
   Printf.sprintf "%s:%d:%d \xc2\xb7 %s \xc2\xb7 %s [%s]" f.file f.line f.col f.rule
     f.message (severity_name f.severity)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json f =
   Printf.sprintf
     {|{"rule":"%s","severity":"%s","file":"%s","line":%d,"col":%d,"message":"%s"}|}
-    (json_escape f.rule)
+    (Vmat_obs.Json_text.escape f.rule)
     (severity_name f.severity)
-    (json_escape f.file) f.line f.col (json_escape f.message)
+    (Vmat_obs.Json_text.escape f.file) f.line f.col (Vmat_obs.Json_text.escape f.message)
 
 let list_to_json = function
   | [] -> "[]\n"

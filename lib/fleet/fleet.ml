@@ -14,12 +14,24 @@ type node_rt = {
   screen : Screen.t;
   mutable mat : Materialized.t option;
   mutable generation : int;  (** rebuilds, for unique storage names *)
+  mutable rows : int;
+      (** rows a stored copy holds: exact from the build, then moved by each
+          marked, relevant net change *)
   mutable queries_n : int;
   mutable applied_n : int;
   mutable applied_w : int;  (** relevant deltas since the last decision *)
 }
 
-type event = { ev_query : int; ev_node : string; ev_action : string; ev_score : float }
+type event = {
+  ev_query : int;
+  ev_node : string;
+  ev_action : string;
+  ev_score : float;
+  ev_query_rate : float;
+  ev_delta_rate : float;
+  ev_costs : Advisor.costs;
+  ev_margin : float;
+}
 
 type t = {
   meter : Cost_meter.t;
@@ -83,9 +95,13 @@ let create ~ctx ~base ~views ~initial ~ad_buckets ?(advisor = Some Advisor.defau
   let base_tree = Strategy.base_relation ctx base ~key_col:base_cluster_col initial in
   let hr = Strategy.hypothetical ctx ~base:base_tree ~schema:base ~ad_buckets in
   let make_rt (nd : Dag.node) =
-    let mat =
+    let mat, rows =
       match nd.nd_kind with
-      | Dag.Group -> None (* groups start transient; the advisor may promote them *)
+      | Dag.Group ->
+          (* Groups start transient; the advisor may promote them. *)
+          let pred = nd.nd_def.sp_pred in
+          let rows = List.fold_left (fun n tuple -> if Predicate.eval pred tuple then n + 1 else n) 0 initial in
+          (None, rows)
       | Dag.Class ->
           let m =
             Materialized.create ~disk ~name:nd.nd_name ~fanout:(Strategy.fanout geometry)
@@ -93,13 +109,14 @@ let create ~ctx ~base ~views ~initial ~ad_buckets ?(advisor = Some Advisor.defau
               ~cluster_col:nd.nd_def.sp_cluster_out ()
           in
           Materialized.rebuild m (Vmat_view.Delta.recompute_sp ~tids nd.nd_def initial);
-          Some m
+          (Some m, Materialized.total_count m)
     in
     {
       node = nd;
       screen = Screen.create ~meter ~view_name:nd.nd_name ~pred:nd.nd_def.sp_pred ();
       mat;
       generation = 0;
+      rows;
       queries_n = 0;
       applied_n = 0;
       applied_w = 0;
@@ -175,10 +192,10 @@ let relevant (rt : node_rt) tuple = Predicate.eval rt.node.nd_def.sp_pred tuple
 (* One shared refresh pass: a single AD read brings every materialized node
    up to date (per-node relevance is re-derived at no extra charge from the
    conceptually-stored marker bits); transient nodes only tally their
-   would-be work for the advisor.  It reads [Hr.net_changes] itself rather
-   than [Hr.drain] because it applies the deltas node by node.  [Hr.reset]
-   then folds the deltas into the base relation, which is what keeps
-   transient query answering (a base or ancestor scan) current. *)
+   would-be work and row count for the advisor.  It reads [Hr.net_changes]
+   itself rather than [Hr.drain] because it applies the deltas node by
+   node.  [Hr.reset] then folds the deltas into the base relation, which is
+   what keeps transient query answering (a base or ancestor scan) current. *)
 let refresh_all t =
   if t.any_stale then begin
     t.refreshes <- t.refreshes + 1;
@@ -190,6 +207,8 @@ let refresh_all t =
               if marked && relevant rt tuple then begin
                 rt.applied_w <- rt.applied_w + 1;
                 rt.applied_n <- rt.applied_n + 1;
+                rt.rows <-
+                  (match action with Materialized.Insert -> rt.rows + 1 | Materialized.Delete -> rt.rows - 1);
                 match rt.mat with
                 | Some mat ->
                     Materialized.apply mat action (View_def.sp_output ~tids:t.tids rt.node.nd_def tuple)
@@ -290,26 +309,11 @@ let answer_node t idx (q : Strategy.query) =
 (* Advisor wiring                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Heuristic row estimate for a transient node: the tightest unit-column
-   selectivity of its predicate times the base cardinality. *)
-let est_rows t (rt : node_rt) =
-  match rt.mat with
-  | Some m -> Materialized.total_count m
-  | None ->
-      let def = rt.node.nd_def in
-      let sel =
-        List.fold_left
-          (fun acc c -> Float.min acc (Predicate.selectivity_on_unit_column def.sp_pred ~column:c))
-          1.
-          (Predicate.columns_read def.sp_pred)
-      in
-      int_of_float (Float.max 1. (sel *. float_of_int (Btree.tuple_count t.base_tree)))
-
 let costs_of t i =
   let rt = t.nodes.(i) in
   let c1 = Cost_meter.c1 t.meter and c2 = Cost_meter.c2 t.meter in
   let fv = Float.max 0.01 (Float.min 1. (Wstats.mean_fv t.wstats)) in
-  let rows = float_of_int (est_rows t rt) in
+  let rows = float_of_int rt.rows in
   let bf = float_of_int (Strategy.blocking_factor t.geometry rt.node.nd_def.sp_out_schema) in
   let pages = Float.max 1. (Float.ceil (rows /. bf)) in
   let height = match rt.mat with Some m -> float_of_int (Materialized.height m) | None -> 1. in
@@ -327,15 +331,27 @@ let costs_of t i =
   let build = qc_trans +. (c2 *. pages) in
   { Advisor.qc_mat; qc_trans; apply_mat; build }
 
-let log_event t node action score =
-  let ev = { ev_query = t.queries; ev_node = node; ev_action = action; ev_score = score } in
+let log_event t node action (v : Advisor.verdict) =
+  let ev =
+    {
+      ev_query = t.queries;
+      ev_node = node;
+      ev_action = action;
+      ev_score = v.v_score;
+      ev_query_rate = v.v_query_rate;
+      ev_delta_rate = v.v_delta_rate;
+      ev_costs = v.v_costs;
+      ev_margin = v.v_margin;
+    }
+  in
   let rec take n = function [] -> [] | x :: xs -> if n = 0 then [] else x :: take (n - 1) xs in
   t.events_rev <- take 255 (ev :: t.events_rev)
 
 (* Materialize a transient node from its nearest materialized ancestor (or
    the base relation), charged to [Migrate] like an adaptive strategy
    migration.  Runs right after a refresh pass, so the source is current. *)
-let promote t i score =
+let promote t (verdict : Advisor.verdict) =
+  let i = verdict.v_node in
   let rt = t.nodes.(i) in
   match rt.mat with
   | Some _ -> ()
@@ -361,54 +377,44 @@ let promote t i score =
               ~cluster_col:def.sp_cluster_out ()
           in
           Materialized.rebuild m bag;
+          rt.rows <- Materialized.total_count m;
           rt.mat <- Some m);
       t.promotions <- t.promotions + 1;
-      log_event t rt.node.nd_name "promote" score
+      log_event t rt.node.nd_name "promote" verdict
 
 (* Dropping stored state costs one page write (the catalog update), the
    same accounting as [Migrate]'s dematerialization. *)
-let demote t i score =
-  let rt = t.nodes.(i) in
+let demote t (verdict : Advisor.verdict) =
+  let rt = t.nodes.(verdict.v_node) in
   match rt.mat with
   | None -> ()
   | Some _ ->
       rt.mat <- None;
       Cost_meter.with_category t.meter Cost_meter.Migrate (fun () -> Cost_meter.charge_write t.meter);
       t.demotions <- t.demotions + 1;
-      log_event t rt.node.nd_name "demote" score
+      log_event t rt.node.nd_name "demote" verdict
 
+(* Each flip lands before the advisor re-prices the other nodes. *)
 let run_decisions t adv =
-  let verdicts =
-    Advisor.decide adv
-      ~materialized:(fun i -> Option.is_some t.nodes.(i).mat)
-      ~applied:(fun i -> t.nodes.(i).applied_w)
-      ~costs_of:(costs_of t)
-  in
-  Array.iter (fun rt -> rt.applied_w <- 0) t.nodes;
-  List.iter
-    (fun (i, decision, score) ->
-      match decision with
-      | Advisor.Promote -> promote t i score
-      | Advisor.Demote -> demote t i score
-      | Advisor.Stay -> ())
-    verdicts
+  Advisor.decide adv
+    ~materialized:(fun i -> Option.is_some t.nodes.(i).mat)
+    ~applied:(fun i -> t.nodes.(i).applied_w)
+    ~costs_of:(costs_of t)
+    ~flip:(fun v ->
+      match v.Advisor.v_decision with Advisor.Promote -> promote t v | Advisor.Demote -> demote t v);
+  Array.iter (fun rt -> rt.applied_w <- 0) t.nodes
 
 (* A query on a transient node is served by its nearest materialized
    ancestor: credit the whole chain up to (and including) the server, so
    the advisor sees which interior nodes the fleet's traffic flows
-   through. *)
-let note_query_chain t adv idx =
-  Advisor.note_query adv idx;
-  if Option.is_none t.nodes.(idx).mat then begin
-    let rec up j =
-      match t.nodes.(j).node.nd_parent with
-      | None -> ()
-      | Some p ->
-          Advisor.note_query adv p;
-          if Option.is_none t.nodes.(p).mat then up p
-    in
-    up idx
-  end
+   through.  The chain is one fleet query. *)
+let served_chain t idx =
+  let rec up j chain =
+    match t.nodes.(j).node.nd_parent with
+    | Some p when Option.is_none t.nodes.(j).mat -> up p (p :: chain)
+    | _ -> chain
+  in
+  up idx [ idx ]
 
 let answer_query t ~view (q : Strategy.query) =
   let idx = node_index t view in
@@ -418,16 +424,13 @@ let answer_query t ~view (q : Strategy.query) =
   rt.queries_n <- rt.queries_n + 1;
   (match t.advisor with
   | Some adv ->
-      note_query_chain t adv idx;
+      Advisor.note_query adv (served_chain t idx);
       if Advisor.decision_due adv then run_decisions t adv
   | None -> ());
   let before = Cost_meter.snapshot t.meter in
   let out = Cost_meter.with_category t.meter Cost_meter.Query (fun () -> answer_node t idx q) in
   let cost = Cost_meter.cost_since t.meter before ~excluding:[ Cost_meter.Base ] () in
-  let view_size =
-    match t.nodes.(idx).mat with Some m -> Materialized.total_count m | None -> est_rows t rt
-  in
-  Wstats.observe_query t.wstats ~returned:(List.length out) ~view_size ~cost ();
+  Wstats.observe_query t.wstats ~returned:(List.length out) ~view_size:rt.rows ~cost ();
   out
 
 let view_contents t ~view =

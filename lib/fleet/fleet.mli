@@ -59,7 +59,11 @@ type event = {
   ev_query : int;  (** fleet query count when the decision fired *)
   ev_node : string;
   ev_action : string;  (** ["promote"] or ["demote"] *)
-  ev_score : float;
+  ev_score : float;  (** per-window benefit of being materialized *)
+  ev_query_rate : float;  (** bias-corrected queries per window *)
+  ev_delta_rate : float;  (** bias-corrected relevant deltas per window *)
+  ev_costs : Advisor.costs;  (** prices judged on, after earlier flips of the same decision *)
+  ev_margin : float;  (** hysteresis margin the score cleared *)
 }
 
 type node_info = {

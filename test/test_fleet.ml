@@ -151,49 +151,49 @@ let test_dag_no_overlap_degenerate () =
 
 let costs_cheap_mat = { Fleet_advisor.qc_mat = 2.; qc_trans = 100.; apply_mat = 1.; build = 50. }
 
+(* One node's flip at a decision point, if any. *)
 let decide_once adv ~materialized ~applied ~costs =
-  let verdicts =
-    Fleet_advisor.decide adv
-      ~materialized:(fun _ -> materialized)
-      ~applied:(fun _ -> applied)
-      ~costs_of:(fun _ -> costs)
-  in
-  match verdicts with [ (_, d, s) ] -> (d, s) | _ -> Alcotest.fail "one node expected"
+  let flips = ref [] in
+  Fleet_advisor.decide adv
+    ~materialized:(fun _ -> materialized)
+    ~applied:(fun _ -> applied)
+    ~costs_of:(fun _ -> costs)
+    ~flip:(fun v -> flips := v :: !flips);
+  match !flips with
+  | [] -> None
+  | [ v ] -> Some (v.Fleet_advisor.v_decision, v.Fleet_advisor.v_score)
+  | _ -> Alcotest.fail "one node expected"
 
 let test_advisor_promotes_hot () =
   let adv = Fleet_advisor.create ~n_nodes:1 () in
   for _ = 1 to 8 do
-    Fleet_advisor.note_query adv 0
+    Fleet_advisor.note_query adv [ 0 ]
   done;
   Alcotest.(check bool) "decision due after window" true (Fleet_advisor.decision_due adv);
-  let d, score = decide_once adv ~materialized:false ~applied:0 ~costs:costs_cheap_mat in
-  Alcotest.(check bool) "positive score" true (score > 0.);
-  match d with
-  | Fleet_advisor.Promote -> ()
+  match decide_once adv ~materialized:false ~applied:0 ~costs:costs_cheap_mat with
+  | Some (Fleet_advisor.Promote, score) -> Alcotest.(check bool) "positive score" true (score > 0.)
   | _ -> Alcotest.fail "hot transient node with cheap materialization must promote"
 
 let test_advisor_demotes_cold () =
   let adv = Fleet_advisor.create ~n_nodes:1 () in
   (* No queries, heavy delta traffic: holding the node materialized only
      costs apply I/O. *)
-  let d, score =
+  match
     decide_once adv ~materialized:true ~applied:50
       ~costs:{ Fleet_advisor.qc_mat = 2.; qc_trans = 10.; apply_mat = 5.; build = 50. }
-  in
-  Alcotest.(check bool) "negative score" true (score < 0.);
-  match d with
-  | Fleet_advisor.Demote -> ()
+  with
+  | Some (Fleet_advisor.Demote, score) -> Alcotest.(check bool) "negative score" true (score < 0.)
   | _ -> Alcotest.fail "cold materialized node with delta traffic must demote"
 
 let test_advisor_min_evidence_and_build_gate () =
   let adv = Fleet_advisor.create ~n_nodes:1 () in
   (* Nothing observed at all: stay put both ways. *)
   (match decide_once adv ~materialized:true ~applied:0 ~costs:costs_cheap_mat with
-  | Fleet_advisor.Stay, _ -> ()
-  | _ -> Alcotest.fail "no evidence must mean Stay");
+  | None -> ()
+  | Some _ -> Alcotest.fail "no evidence must mean Stay");
   let adv = Fleet_advisor.create ~n_nodes:1 () in
   for _ = 1 to 8 do
-    Fleet_advisor.note_query adv 0
+    Fleet_advisor.note_query adv [ 0 ]
   done;
   (* Clear per-window win, but a build cost that can never amortize within
      the horizon: the break-even gate must block the promotion. *)
@@ -201,8 +201,114 @@ let test_advisor_min_evidence_and_build_gate () =
     decide_once adv ~materialized:false ~applied:0
       ~costs:{ costs_cheap_mat with Fleet_advisor.build = 1.e12 }
   with
-  | Fleet_advisor.Stay, _ -> ()
-  | _ -> Alcotest.fail "build break-even gate must block promotion"
+  | None -> ()
+  | Some _ -> Alcotest.fail "build break-even gate must block promotion"
+
+let test_advisor_window_counts_fleet_queries () =
+  let adv = Fleet_advisor.create ~n_nodes:3 () in
+  (* A query on transient node 2 whose answer flows through transient node
+     1 to its server, node 0, credits all three nodes but is one fleet
+     query. *)
+  Fleet_advisor.note_query adv [ 2; 1; 0 ];
+  Alcotest.(check int) "one fleet query in the window" 1 (Fleet_advisor.queries_in_window adv);
+  for _ = 2 to 7 do
+    Fleet_advisor.note_query adv [ 2; 1; 0 ]
+  done;
+  Alcotest.(check bool) "not due after 7 queries" false (Fleet_advisor.decision_due adv);
+  Fleet_advisor.note_query adv [ 2; 1; 0 ];
+  Alcotest.(check bool) "due after 8 queries" true (Fleet_advisor.decision_due adv);
+  Fleet_advisor.decide adv
+    ~materialized:(fun i -> i = 0)
+    ~applied:(fun _ -> 0)
+    ~costs_of:(fun _ -> { costs_cheap_mat with Fleet_advisor.qc_trans = 2. })
+    ~flip:ignore;
+  Alcotest.(check int) "window closed" 0 (Fleet_advisor.queries_in_window adv);
+  (* Bias correction: after one window a rate reads the window's count. *)
+  List.iter
+    (fun i ->
+      Alcotest.(check (float 1e-9)) "each credited node saw 8 queries" 8.
+        (Fleet_advisor.node_query_rate adv i))
+    [ 0; 1; 2 ]
+
+(* Two-level DAG: node 0 is the parent of transient nodes 1 and 2, and
+   every query on a child also credits the parent.  Promoting the parent
+   makes the children's transient answers as cheap as stored ones, so once
+   the parent has flipped neither child may promote. *)
+let test_advisor_reprices_after_each_flip () =
+  let adv = Fleet_advisor.create ~n_nodes:3 () in
+  for i = 1 to 8 do
+    Fleet_advisor.note_query adv [ 1 + (i mod 2); 0 ]
+  done;
+  let stored = Array.make 3 false in
+  let priced_after_flip = ref [] in
+  let costs_of i =
+    if stored.(0) then priced_after_flip := i :: !priced_after_flip;
+    if i = 0 || not stored.(0) then costs_cheap_mat
+    else { costs_cheap_mat with Fleet_advisor.qc_trans = costs_cheap_mat.Fleet_advisor.qc_mat }
+  in
+  let flips = ref [] in
+  Fleet_advisor.decide adv
+    ~materialized:(fun i -> stored.(i))
+    ~applied:(fun _ -> 0)
+    ~costs_of
+    ~flip:(fun v ->
+      flips := v :: !flips;
+      stored.(v.Fleet_advisor.v_node) <- v.Fleet_advisor.v_decision = Fleet_advisor.Promote);
+  (match !flips with
+  | [ { Fleet_advisor.v_node = 0; v_decision = Fleet_advisor.Promote; v_costs; _ } ] ->
+      Alcotest.(check (float 0.)) "parent judged on its own price" 100. v_costs.Fleet_advisor.qc_trans
+  | _ -> Alcotest.fail "only the parent may promote");
+  Alcotest.(check (list int)) "children re-priced after the parent's flip" [ 1; 2 ]
+    (List.sort compare !priced_after_flip)
+
+(* The fleet-zipf benchmark's shape at 0.3 of its base size: 64 views (50%
+   aliases), Zipf 1.1 popularity, 2000 transactions of 8 changes and 2000
+   queries.  The advisor that advanced its window once per credited node
+   and remembered ~3 windows made 497 promotions + demotions here (234 +
+   263), reversing most of them within a few windows; it must now make at
+   most a tenth of that, decide only on window boundaries, and cost less
+   on the modeled clock than keeping every class stored. *)
+let test_advisor_thrash_bounded () =
+  let views = 64 and decide_every = Fleet_advisor.default_config.Fleet_advisor.decide_every in
+  let rng = Rng.create 1 in
+  let tids = Tuple.source () in
+  let dataset = Dataset.make_model1 ~rng ~tids ~n:1500 ~f:0.5 ~s_bytes:100 in
+  let base = dataset.Dataset.m1_schema and initial = dataset.Dataset.m1_tuples in
+  let spec = Fleet_spec.overlapping_fleet ~rng:(Rng.create 11) ~base ~views ~overlap:0.5 () in
+  let ops =
+    Stream.generate_fleet ~rng:(Rng.create 12) ~tuples:(Array.of_list initial)
+      ~mutate:
+        (Stream.mutate_column ~tids ~col:2 (fun rng -> Value.Float (float_of_int (Rng.int rng 1000))))
+      ~views ~zipf_s:1.1 ~k:2000 ~l:8 ~q:2000
+      ~query_of:(fun rng v -> Fleet_spec.query_of spec ~fv:0.3 rng v)
+  in
+  let defs = Array.of_list spec.Fleet_spec.fs_views in
+  let first_tid = Tuple.peek tids in
+  let modeled_per_query advisor =
+    let ctx = Ctx.create ~first_tid () in
+    let fleet = Fleet.create ~ctx ~base ~views:spec.Fleet_spec.fs_views ~initial ~ad_buckets:4 ~advisor () in
+    Cost_meter.reset (Ctx.meter ctx);
+    List.iter
+      (function
+        | Stream.Ftxn changes -> Fleet.handle_transaction fleet changes
+        | Stream.Fquery (v, q) -> ignore (Fleet.answer_query fleet ~view:defs.(v).View_def.sp_name q))
+      ops;
+    ( fleet,
+      Cost_meter.total_cost ~excluding:[ Cost_meter.Base ] (Ctx.meter ctx)
+      /. float_of_int (Fleet.queries fleet) )
+  in
+  let fleet, advised = modeled_per_query (Some Fleet_advisor.default_config) in
+  let _, static = modeled_per_query None in
+  let st = Fleet.stats fleet in
+  let flips = st.Fleet.st_promotions + st.Fleet.st_demotions in
+  Alcotest.(check bool) (Printf.sprintf "%d flips <= 49" flips) true (flips <= 49);
+  List.iter
+    (fun (e : Fleet.event) ->
+      Alcotest.(check int) "decisions fire on window boundaries" 0 (e.Fleet.ev_query mod decide_every))
+    (Fleet.events fleet);
+  Alcotest.(check bool)
+    (Printf.sprintf "advised %.0f < static %.0f ms/query" advised static)
+    true (advised < static)
 
 (* ------------------------------------------------------------------ *)
 (* Multi-view base clustering (a fleet with the advisor off)            *)
@@ -618,6 +724,10 @@ let suites =
         Alcotest.test_case "demotes a cold materialized node" `Quick test_advisor_demotes_cold;
         Alcotest.test_case "evidence and break-even gates" `Quick
           test_advisor_min_evidence_and_build_gate;
+        Alcotest.test_case "window counts fleet queries" `Quick
+          test_advisor_window_counts_fleet_queries;
+        Alcotest.test_case "re-prices after each flip" `Quick test_advisor_reprices_after_each_flip;
+        Alcotest.test_case "thrash bounded on the fleet-zipf shape" `Quick test_advisor_thrash_bounded;
       ] );
     ( "fleet.multi_view",
       [
