@@ -1294,10 +1294,6 @@ let microbenchmarks () =
   for i = 0 to 9_999 do
     Hash_file.insert hash (Tuple.make ~tid:(i + 10_001) [| Value.Int i; Value.Str "x" |])
   done;
-  let bloom = Bloom.create ~bits:65536 () in
-  for i = 0 to 999 do
-    Bloom.add bloom (string_of_int i)
-  done;
   let screen =
     Screen.create ~meter ~view_name:"bench"
       ~pred:
@@ -1314,7 +1310,6 @@ let microbenchmarks () =
       [
         Test.make ~name:"yao.eval"
           (Staged.stage (fun () -> ignore (Yao.eval ~n:10000. ~m:125. ~k:5.)));
-        Test.make ~name:"bloom.mem" (Staged.stage (fun () -> ignore (Bloom.mem bloom "500")));
         Test.make ~name:"btree.find"
           (Staged.stage (fun () -> ignore (Btree.find tree (Value.Int (Rng.int rng 10_000)))));
         Test.make ~name:"btree.insert+remove"

@@ -281,9 +281,9 @@ let sanitize_term =
     value & flag
     & info [ "sanitize" ]
         ~doc:
-          "Enable the runtime invariant sanitizers (cost conservation, Bloom \
-           no-false-negatives, refresh = recompute) in every measured context; \
-           violations abort with exit code 3.  Equivalent to VMAT_SANITIZE=1.")
+          "Enable the runtime invariant sanitizers (cost conservation, refresh = \
+           recompute) in every measured context; violations abort with exit code \
+           3.  Equivalent to VMAT_SANITIZE=1.")
 
 (* The flag only *forces on*: absent, the env default (VMAT_SANITIZE) applies. *)
 let sanitize_opt flag = if flag then Some true else None
@@ -917,8 +917,8 @@ let top_cmd =
        ~doc:
          "Profile one strategy with the full observability layer: measured costs \
           beside their mirrored metric counters, per-operation cost histograms as \
-          sparklines, and every counter the run touched (Bloom probes, buffer-pool \
-          hits, screening tests, migrations).  With --live, profile the serving \
+          sparklines, and every counter the run touched (buffer-pool hits, \
+          screening tests, migrations).  With --live, profile the serving \
           subsystem instead, rendering a refreshing dashboard (TPS/QPS, latency \
           quantiles, hot keys) while it runs.")
     Term.(
@@ -1548,5 +1548,5 @@ let () =
       Printf.eprintf "sanitizer violation: %s\n" message;
       exit 3
   | Ok (`Ok () | `Version | `Help) -> exit 0
-  | Error `Parse -> exit 2
-  | Error (`Term | `Exn) -> exit Cmd.Exit.internal_error
+  | Error (`Parse | `Term) -> exit 2
+  | Error `Exn -> exit Cmd.Exit.internal_error

@@ -1,7 +1,7 @@
 (** Public facade of the view-materialization library.
 
     The layers, bottom-up:
-    - {!Yao}, {!Bloom}, {!Rng} — analytic and probabilistic primitives;
+    - {!Yao}, {!Rng} — analytic and probabilistic primitives;
     - {!Value}, {!Schema}, {!Tuple}, {!Flat}, {!Tuple_view}, {!Disk},
       {!Buffer_pool}, {!Cost_meter}, {!Heap_file}, {!Ctx} — the simulated
       storage engine (page-resident flat rows with zero-copy cursors,
@@ -44,7 +44,6 @@
 
 module Yao = Vmat_util.Yao
 module Combin = Vmat_util.Combin
-module Bloom = Vmat_util.Bloom
 module Rng = Vmat_util.Rng
 module Stats = Vmat_util.Stats
 module Table = Vmat_util.Table

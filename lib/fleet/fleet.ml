@@ -263,7 +263,7 @@ let scan_base t (def : View_def.sp) ~(q : Strategy.query) k =
     else (Strategy.min_sentinel, Strategy.max_sentinel)
   in
   let compiled =
-    Predicate.compile t.base_schema (Predicate.And (def.sp_pred, Predicate.Between (cb, q.q_lo, q.q_hi)))
+    Predicate.compile (Predicate.And (def.sp_pred, Predicate.Between (cb, q.q_lo, q.q_hi)))
   in
   Btree.range_views t.base_tree ~lo ~hi (fun view ->
       Cost_meter.charge_predicate_test t.meter;

@@ -1,5 +1,4 @@
 open Vmat_storage
-open Vmat_util
 module Btree = Vmat_index.Btree
 module Hash_file = Vmat_index.Hash_file
 module Recorder = Vmat_obs.Recorder
@@ -22,23 +21,11 @@ type t = {
   schema : Schema.t;
   ad : Hash_file.t;  (* combined layout: both roles; split layout: appends *)
   ad_deletes : Hash_file.t option;  (* split layout only *)
-  bloom : Bloom.t;
   meter : Cost_meter.t;
   tids : Tuple.source;
-  key_col : int;
-  san : Sanitize.t;
-  mutable a_count : int;
-  mutable d_count : int;
 }
 
-let create ~disk ~tids ~base ~schema ~ad_buckets ~tuples_per_page ?bloom_bits
-    ?(layout = Combined) ?(sanitize = Sanitize.none) () =
-  let bloom_bits =
-    match bloom_bits with
-    | Some b -> b
-    | None ->
-        Bloom.ideal_bits ~expected_keys:(max 64 (ad_buckets * tuples_per_page)) ~fp_rate:0.01
-  in
+let create ~disk ~tids ~base ~schema ~ad_buckets ~tuples_per_page ?(layout = Combined) () =
   let file suffix buckets =
     Hash_file.create ~disk ~name:(suffix ^ ":" ^ Schema.name schema) ~buckets:(max 1 buckets)
       ~tuples_per_page ~key_col:(Schema.key_index schema) ()
@@ -51,19 +38,7 @@ let create ~disk ~tids ~base ~schema ~ad_buckets ~tuples_per_page ?bloom_bits
         let half = max 1 ((ad_buckets + 1) / 2) in
         (file "a" half, Some (file "d" half))
   in
-  {
-    base;
-    schema;
-    ad;
-    ad_deletes;
-    bloom = Bloom.create ~bits:bloom_bits ();
-    meter = Disk.meter disk;
-    tids;
-    key_col = Schema.key_index schema;
-    san = sanitize;
-    a_count = 0;
-    d_count = 0;
-  }
+  { base; schema; ad; ad_deletes; meter = Disk.meter disk; tids }
 
 (* The file an entry of the given role is stored in. *)
 let file_for t role =
@@ -74,7 +49,6 @@ let file_for t role =
 let all_files t = t.ad :: Option.to_list t.ad_deletes
 
 let base t = t.base
-let schema t = t.schema
 
 let encode t tuple ~role ~marker =
   Tuple.make ~tid:(Tuple.next t.tids)
@@ -90,10 +64,11 @@ let decode_view t view =
   let marked = Tuple_view.get_bool_or_false view (n + 2) in
   (is_appended, marked, Tuple_view.materialize_prefix view n ~tid:orig_tid)
 
-let note_in_bloom t tuple = Bloom.add t.bloom (Value.key_string (Tuple.get tuple t.key_col))
-
-(* The paper fixes the "read the current tuple" step at one I/O (§2.2.2); we
-   charge it synthetically to the Base category rather than simulating the
+(* The paper fixes the "read the current tuple" step at one I/O (§2.2.2):
+   a Bloom filter [Seve76] screens the read away from AD, so it touches
+   only the base page.  This charge is the engine's model of that screened
+   read.  No engine path reads AD by key, so no filter is kept, and the one
+   I/O goes synthetically to the Base category rather than simulating the
    access path the base update would have used anyway. *)
 let charge_base_read t =
   Cost_meter.with_category t.meter Cost_meter.Base (fun () ->
@@ -101,8 +76,6 @@ let charge_base_read t =
 
 let ad_entry_count t = List.fold_left (fun acc f -> acc + Hash_file.tuple_count f) 0 (all_files t)
 let ad_page_count t = List.fold_left (fun acc f -> acc + Hash_file.page_count f) 0 (all_files t)
-
-let bloom t = t.bloom
 
 (* Keep the differential-file gauges fresh at transaction granularity (cheap:
    page/tuple counts are O(#files)).  Gauges, unlike the cost counters, are
@@ -115,10 +88,7 @@ let note_ad_gauges t =
       (float_of_int (ad_page_count t));
     Recorder.set_gauge r ~help:"Entries currently in the differential (A/D) file(s)."
       "vmat_hr_ad_entries"
-      (float_of_int (ad_entry_count t));
-    Recorder.set_gauge r
-      ~help:"Analytic false-positive probability of the A/D Bloom filter at current load."
-      "vmat_bloom_fp_rate" (Bloom.false_positive_rate t.bloom)
+      (float_of_int (ad_entry_count t))
   end
 
 let store t ~role entry =
@@ -126,24 +96,16 @@ let store t ~role entry =
       Hash_file.insert (file_for t role) entry)
 
 let apply_insert t tuple ~marked =
-  store t ~role:role_appended (encode t tuple ~role:role_appended ~marker:(Value.Bool marked));
-  note_in_bloom t tuple;
-  t.a_count <- t.a_count + 1
+  store t ~role:role_appended (encode t tuple ~role:role_appended ~marker:(Value.Bool marked))
 
 let apply_delete t tuple ~marked =
   charge_base_read t;
-  store t ~role:role_deleted (encode t tuple ~role:role_deleted ~marker:(Value.Bool marked));
-  note_in_bloom t tuple;
-  t.d_count <- t.d_count + 1
+  store t ~role:role_deleted (encode t tuple ~role:role_deleted ~marker:(Value.Bool marked))
 
 let record_update t ~old_tuple ~new_tuple ~marker_old ~marker_new =
   charge_base_read t;
   store t ~role:role_deleted (encode t old_tuple ~role:role_deleted ~marker:marker_old);
-  store t ~role:role_appended (encode t new_tuple ~role:role_appended ~marker:marker_new);
-  note_in_bloom t old_tuple;
-  note_in_bloom t new_tuple;
-  t.a_count <- t.a_count + 1;
-  t.d_count <- t.d_count + 1
+  store t ~role:role_appended (encode t new_tuple ~role:role_appended ~marker:marker_new)
 
 let apply_update t ~old_tuple ~new_tuple ~marked_old ~marked_new =
   record_update t ~old_tuple ~new_tuple ~marker_old:(Value.Bool marked_old)
@@ -294,93 +256,7 @@ let reset t =
       Hash_file.clear f;
       Buffer_pool.invalidate (Hash_file.pool f))
     (all_files t);
-  Bloom.clear t.bloom;
-  t.a_count <- 0;
-  t.d_count <- 0;
   note_ad_gauges t
-
-(* The Bloom filter is derived state: every resident A/D entry fed it exactly
-   one key (apply_insert/apply_delete note one tuple per stored entry;
-   apply_update notes both), and entries only leave wholesale via {!reset},
-   which clears the filter too.  So the filter is reconstructible from the
-   A/D heap alone — which is what makes a checkpoint image that carries the
-   heap but lost (or never stored) the filter recoverable.  Rebuilding scans
-   unmetered: recovery cost is charged where the recovery driver says, not
-   here. *)
-let rebuild_filter t =
-  Bloom.clear t.bloom;
-  List.iter
-    (fun f ->
-      Hash_file.iter_views_unmetered f (fun view ->
-          Bloom.add t.bloom (Tuple_view.key_string_col view t.key_col)))
-    (all_files t)
-
-let lookup t ~key =
-  let r = Cost_meter.recorder t.meter in
-  let find_in_base () =
-    Cost_meter.charge_read t.meter;
-    Btree.find_view_unmetered t.base (fun view ->
-        Tuple_view.compare_col view t.key_col key = 0)
-  in
-  Recorder.span r ~cat:"hr" "hr.lookup" (fun () ->
-      let screened_in = Bloom.mem t.bloom (Value.key_string key) in
-      if Recorder.enabled r then begin
-        Recorder.inc r ~help:"Bloom membership probes against the A/D filter."
-          "vmat_bloom_probes_total" 1.;
-        if screened_in then
-          Recorder.inc r ~help:"Bloom probes that answered maybe-present."
-            "vmat_bloom_positives_total" 1.
-      end;
-      if not screened_in then begin
-        (* Sanitizer: a negative screen asserts the A/D file holds no entry
-           for this key — the "no false negatives" half of the Bloom
-           contract, which the probe statistics cannot observe (they only
-           see positives).  The audit scans unmetered, so the measured I/O
-           pattern is identical with the sanitizer off. *)
-        if Sanitize.sample t.san ~rule:"bloom-no-false-negative" then
-          Sanitize.check t.san ~rule:"bloom-no-false-negative"
-            (fun () ->
-              let found = ref false in
-              List.iter
-                (fun f ->
-                  Hash_file.iter_views_unmetered f (fun view ->
-                      if Tuple_view.compare_col view t.key_col key = 0 then found := true))
-                (all_files t);
-              not !found)
-            ~detail:(fun () ->
-              Printf.sprintf
-                "negative screen for key %s but the differential file holds an entry \
-                 for it (filter cleared or bypassed without clearing the A/D file?)"
-                (Value.to_string key));
-        find_in_base ()
-      end
-      else begin
-        let a_raw, d_raw, _ = partition t (fun f -> Hash_file.lookup_views f key) in
-        (* Every A/D insertion also feeds the filter and entries are only
-           removed wholesale (with a filter clear), so an empty hash-file
-           answer after a positive probe is, by construction, a false
-           positive — the one outcome the probe itself cannot see. *)
-        if List.is_empty a_raw && List.is_empty d_raw then begin
-          Bloom.note_false_positive t.bloom;
-          if Recorder.enabled r then begin
-            Recorder.inc r
-              ~help:"Positive Bloom probes the differential file then refuted (wasted I/O)."
-              "vmat_bloom_false_positives_total" 1.;
-            Recorder.instant r ~cat:"hr" "bloom.false_positive"
-          end
-        end;
-        let a, d = cancel_pairs (a_raw, d_raw) in
-        match a with
-        | (tuple, _) :: _ -> Some tuple
-        | [] -> (
-            match find_in_base () with
-            | None -> None
-            | Some tuple ->
-                let gone =
-                  List.exists (fun (del, _) -> Tuple.equal del tuple) d
-                in
-                if gone then None else Some tuple)
-      end)
 
 let contents_unmetered t =
   let a_net, d_net = net_changes_unmetered t in

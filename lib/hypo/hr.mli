@@ -1,13 +1,16 @@
 (** Hypothetical relations (paper §2.2): the base relation [R] (a clustered
     B+-tree) plus a combined differential file [AD] — appended and deleted
     tuples distinguished by a [role] attribute, clustered-hashed on the
-    relation key — with a Bloom filter screening accesses to [AD] [Seve76].
+    relation key.
 
     The true value of the relation is [(R ∪ A) − D].  Updates follow the
-    paper's 3-I/O discipline: read the tuple (Bloom-screened), read the [AD]
-    page where the new entries will lie, write that page back.  Only the
-    middle I/O exceeds a conventional update, and it is charged to the [Hr]
-    meter category (the paper's [C_AD]); the rest is charged to [Base].
+    paper's 3-I/O discipline: read the tuple, read the [AD] page where the
+    new entries will lie, write that page back.  In the paper a Bloom
+    filter [Seve76] screens the first read away from [AD]; no engine path
+    reads [AD] by key, so no filter is kept and that read is charged as one
+    synthetic [Base] I/O, the screened read's cost.  Only the middle I/O
+    exceeds a conventional update, and it is charged to the [Hr] meter
+    category (the paper's [C_AD]); the rest is charged to [Base].
 
     Each entry carries the screening marker set by the strategy when the
     update arrived, so deferred refresh does not re-screen.  This module is
@@ -33,22 +36,15 @@ val create :
   schema:Schema.t ->
   ad_buckets:int ->
   tuples_per_page:int ->
-  ?bloom_bits:int ->
   ?layout:layout ->
-  ?sanitize:Sanitize.t ->
   unit ->
   t
 (** [base] is the stored copy of [R]; [schema] its schema (the key column of
     the schema clusters [AD]).  [tids] is the owning engine's tuple-id source
     (A/D entries get fresh tids from it).  [ad_buckets] sizes the static hash
-    file (the paper's [2u/T] pages); [bloom_bits] defaults to a 1%
-    false-positive size for [ad_buckets * tuples_per_page] keys.
-    [sanitize] (default {!Sanitize.none}) enables the sampled
-    no-false-negative audit in {!lookup}: after a negative Bloom screen the
-    A/D file is scanned unmetered to confirm the key really is absent. *)
+    file (the paper's [2u/T] pages). *)
 
 val base : t -> Vmat_index.Btree.t
-val schema : t -> Schema.t
 
 val apply_insert : t -> Tuple.t -> marked:bool -> unit
 (** Record an appended tuple ([marked] = it passed both screening stages). *)
@@ -84,11 +80,6 @@ val end_transaction : t -> unit
     touches are charged afresh (the paper charges [y(2u, 2u/T, l)] per
     transaction). *)
 
-val lookup : t -> key:Value.t -> Tuple.t option
-(** Read-through by relation key with [(R ∪ A) − D] semantics, charging the
-    Bloom-directed I/Os.  The base read descends the clustered B+-tree with
-    the key column of the stored tuples. *)
-
 val net_changes : t -> (Tuple.t * bool) list * (Tuple.t * bool) list
 (** [(a_net, d_net)] with markers: entries appended-then-deleted in the same
     epoch cancel (matching on all fields including the tid), and the
@@ -107,26 +98,10 @@ val pending : t -> delete:(Tuple.t -> unit) -> insert:(Tuple.t -> unit) -> unit
 val ad_entry_count : t -> int
 val ad_page_count : t -> int
 
-val bloom : t -> Vmat_util.Bloom.t
-(** The screening filter, exposed for its probe/false-positive counters
-    ({!Vmat_util.Bloom.probes} and friends): {!lookup} reports spurious
-    positive probes back to the filter, so the empirical FP rate is finally
-    distinguishable from true differential-file hits. *)
-
-val rebuild_filter : t -> unit
-(** Reconstruct the Bloom filter from the resident A/D entries alone
-    (unmetered scan).  The filter is derived state — every resident entry
-    fed it exactly one key, and entries only leave together with a filter
-    clear ({!reset}) — so the rebuilt filter is bit-identical to the live
-    one and, in particular, admits no false negatives over the resident
-    entries.  This is what makes the differential file self-describing for
-    crash recovery (DESIGN §9): a checkpoint that carries the A/D heap
-    need not trust a separately-stored filter image. *)
-
 val reset : t -> unit
 (** Fold the differential file into the base relation
-    ([R := (R ∪ A) − D; A := ∅; D := ∅]) and clear the Bloom filter.  The
-    fold-in I/O is charged to the [Base] category (see DESIGN.md). *)
+    ([R := (R ∪ A) − D; A := ∅; D := ∅]).  The fold-in I/O is charged to
+    the [Base] category (see DESIGN.md). *)
 
 val contents_unmetered : t -> Tuple.t list
 (** Current true contents [(R ∪ A) − D] without charges (tests). *)

@@ -381,23 +381,6 @@ let check_invariants t =
       | _ -> ());
       previous := Some (pair_of t tuple))
 
-exception Found of Tuple.t
-
-let find_view_unmetered t pred =
-  match
-    iter_views_unmetered t (fun view ->
-        if pred view then raise (Found (Tuple_view.materialize view)))
-  with
-  | () -> None
-  | exception Found tuple -> Some tuple
-
-let find_unmetered t pred =
-  match
-    iter_unmetered t (fun tuple -> if pred tuple then raise (Found tuple))
-  with
-  | () -> None
-  | exception Found tuple -> Some tuple
-
 let chunk size list =
   let rec loop acc current n = function
     | [] -> List.rev (if List.is_empty current then acc else List.rev current :: acc)

@@ -82,15 +82,6 @@ val check_invariants : t -> unit
 (** Assert ordering, separator and capacity invariants (tests).
     @raise Failure on violation. *)
 
-val find_unmetered : t -> (Tuple.t -> bool) -> Tuple.t option
-(** First tuple (in key order) satisfying the predicate, without charging
-    (models an auxiliary access path whose cost the analysis does not
-    attribute; see Hr.lookup). *)
-
-val find_view_unmetered : t -> (Tuple_view.t -> bool) -> Tuple.t option
-(** {!find_unmetered} with the predicate evaluated on a cursor; only the
-    match (if any) is materialized. *)
-
 val bulk_load : t -> Tuple.t list -> unit
 (** Replace an empty tree's contents with the given tuples, packing every
     data page to [leaf_capacity] and every index node to [fanout] (the

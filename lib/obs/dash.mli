@@ -43,7 +43,7 @@ type snapshot = {
   d_key_skew : float;
   d_flight : ring_stat list;
   d_gauges : (string * float) list;
-      (** Selected registry gauges (A/D file, Bloom, controller state);
+      (** Selected registry gauges (A/D file, MVCC epochs);
           populated only on the final snapshot. *)
 }
 

@@ -153,10 +153,7 @@ module Boxed_compiler = Compile (struct
   let compare_cols row i j = Value.compare (Tuple.get row i) (Tuple.get row j)
 end)
 
-(* The schema is the layout contract the compiled closure evaluates against;
-   today all cells are self-describing so only the arity matters, but the
-   argument keeps the door open for schema-specialized layouts. *)
-let compile (_schema : Schema.t) p = View_compiler.compile p
+let compile p = View_compiler.compile p
 
 let compile_boxed p = Boxed_compiler.compile p
 

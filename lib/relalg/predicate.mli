@@ -41,9 +41,10 @@ val columns_read : t -> int list
     per-row evaluation allocates nothing.  Semantics are exactly {!eval3}
     with the row's columns bound (out-of-range columns unbound). *)
 
-val compile : Schema.t -> t -> Tuple_view.t -> bool option
-(** Compile against a row layout: comparisons evaluate directly over column
-    offsets in the flat page, with no [Value.t] boxing. *)
+val compile : t -> Tuple_view.t -> bool option
+(** Compile over page cursors: comparisons evaluate directly over column
+    offsets in the flat page, with no [Value.t] boxing (cells are
+    self-describing, so no schema is needed). *)
 
 val compile_boxed : t -> Tuple.t -> bool option
 (** Same compilation over boxed tuples (screens on stream tuples). *)

@@ -620,7 +620,6 @@ let run ?(config = default_config) ?recorder ?sanitize ?(seed = 42) ?on_snapshot
                        match kind with
                        | Metrics.Gauge
                          when String.starts_with ~prefix:"vmat_hr_" name
-                              || String.starts_with ~prefix:"vmat_bloom_" name
                               || String.equal name "vmat_serve_epochs" ->
                            (name, value) :: acc
                        | _ -> acc)

@@ -376,13 +376,6 @@ let add_cell_key_string buffer p off col =
       Buffer.add_subbytes buffer p.buf s_off s_len
   | tag -> invalid_arg (Printf.sprintf "Flat: corrupt cell tag %d" tag)
 
-let cell_key_string p i col =
-  let off = slot_off p i in
-  cell_check p off col;
-  let b = Buffer.create 16 in
-  add_cell_key_string b p off col;
-  Buffer.contents b
-
 (* Equals [Tuple.value_key] of the materialized row: cell key strings joined
    by '|'. *)
 let row_value_key p i =

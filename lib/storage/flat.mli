@@ -78,9 +78,6 @@ val compare_cells : t -> int -> int -> t -> int -> int -> int
 
 (** {1 Key strings} *)
 
-val cell_key_string : t -> int -> int -> string
-(** Equals [Value.key_string] of the boxed cell. *)
-
 val row_value_key : t -> int -> string
 (** Equals [Tuple.value_key] of the materialized row. *)
 

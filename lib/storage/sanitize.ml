@@ -3,8 +3,8 @@
    VMAT_SANITIZE=1).  The counterpart of the static rules vmlint enforces at
    the source level — vmlint proves the code cannot *introduce* certain
    nondeterminism; the sanitizer proves the running engine actually
-   *preserves* its semantic invariants (cost conservation, Bloom
-   no-false-negatives, refresh ≡ recompute).
+   *preserves* its semantic invariants (cost conservation, refresh ≡
+   recompute).
 
    Design constraint: zero observer effect.  Checks may read unmetered views
    of structures and mirror meter charges, but must never charge the meter,

@@ -7,8 +7,6 @@
     - {b cost conservation}: every meter tally equals an independently
       mirrored count of the charges that produced it ({!attach_meter} +
       {!check_meter}, driven per-operation by [Runner]);
-    - {b Bloom no-false-negatives}: a negative screen of the differential
-      file really means no A/D entry holds the key ([Hr.lookup]);
     - {b refresh ≡ recompute}: an incrementally maintained view equals the
       from-scratch recomputation over current base contents (deferred
       refresh / immediate maintenance, sampled via {!sample}).
@@ -56,7 +54,7 @@ val sample : t -> rule:string -> bool
 
 val report : t -> rule:string -> detail:string -> unit
 (** Unconditionally report a violation discovered by the caller's own logic
-    (e.g. a Bloom false negative detected inline). *)
+    rather than by a {!check} thunk. *)
 
 val checks_run : t -> int
 val violations : t -> int

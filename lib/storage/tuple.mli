@@ -57,6 +57,6 @@ val compare_values : t -> t -> int
 
 val value_key : t -> string
 (** Injective string encoding of the field values (ignoring tid), used for
-    duplicate-count lookup and Bloom filters. *)
+    duplicate-count lookup and canonical row order. *)
 
 val pp : Format.formatter -> t -> unit

@@ -57,7 +57,6 @@ let equal_prefix_values v tuple n =
   loop 0
 
 let value_key v = Flat.row_value_key v.page v.slot
-let key_string_col v col = Flat.cell_key_string v.page v.slot col
 
 let materialize v = Flat.materialize v.page v.slot
 let materialize_prefix v n ~tid = Flat.materialize_prefix v.page v.slot n ~tid

@@ -43,8 +43,6 @@ val equal_prefix_values : t -> Tuple.t -> int -> bool
 val value_key : t -> string
 (** Equals [Tuple.value_key (materialize v)]. *)
 
-val key_string_col : t -> int -> string
-
 val materialize : t -> Tuple.t
 (** Box the row — the sanctioned boundary where flat rows become [Tuple.t]. *)
 

@@ -21,7 +21,7 @@ val to_string : t -> string
 (** Human-readable rendering. *)
 
 val key_string : t -> string
-(** Injective encoding used for hashing (hash files, Bloom filters): two
+(** Injective encoding used for hashing (hash files, join keys): two
     values have equal [key_string] iff {!equal}. *)
 
 val hash : t -> int

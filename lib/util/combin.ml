@@ -35,8 +35,11 @@ let log_factorial n =
   if n < log_factorial_cache_size then (Lazy.force log_factorial_cache).(n)
   else lgamma (float_of_int n +. 1.)
 
+(* The gamma form is positive and finite for every 0 <= k < n + 1, so a
+   non-integer n keeps finite values for n < k < n + 1 (Yao's function with
+   a non-integer blocking factor reaches them). *)
 let log_choose n k =
-  if k < 0. || k > n then neg_infinity
+  if k < 0. || k >= n +. 1. then neg_infinity
   else if k = 0. || k = n then 0.
   else lgamma (n +. 1.) -. lgamma (k +. 1.) -. lgamma (n -. k +. 1.)
 

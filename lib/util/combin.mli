@@ -8,8 +8,9 @@ val log_factorial : int -> float
 (** [log_factorial n] is [log n!]; [n >= 0]. Cached for small [n]. *)
 
 val log_choose : float -> float -> float
-(** [log_choose n k] is [log (n choose k)] for real-valued [n >= k >= 0],
-    using the gamma-function extension of the binomial coefficient. *)
+(** [log_choose n k] is [log (n choose k)] for real-valued [n] and
+    [0 <= k < n + 1], using the gamma-function extension of the binomial
+    coefficient; [neg_infinity] outside that range. *)
 
 val choose : int -> int -> float
 (** [choose n k] is the binomial coefficient as a float ([0.] when [k < 0]

@@ -226,7 +226,7 @@ let blakeley env =
 
 let loopjoin env =
   let store, index_add, index_remove = make_store env in
-  let compiled = Predicate.compile store.view.j_left store.view.j_left_pred in
+  let compiled = Predicate.compile store.view.j_left_pred in
   let handle changes =
     let a1, d1, a2, d2 = partition changes in
     base_apply store index_add index_remove ~deletes:(d1, d2) ~inserts:(a1, a2)

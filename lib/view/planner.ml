@@ -35,7 +35,7 @@ let create ~ctx ~view ~base_cluster ~initial () =
   in
   Materialized.rebuild mat (Delta.recompute_sp ~tids view initial);
   let screen = Screen.create ~meter ~view_name:view.sp_name ~pred:view.sp_pred () in
-  let compiled = Predicate.compile view.sp_base view.sp_pred in
+  let compiled = Predicate.compile view.sp_pred in
   { meter; tids; view; base_cluster_col; base; mat; compiled; screen; geometry }
 
 let handle_transaction t changes =
@@ -58,6 +58,10 @@ let handle_transaction t changes =
     changes;
   Cost_meter.with_category t.meter Cost_meter.Base (fun () ->
       Buffer_pool.invalidate (Btree.pool t.base));
+  (* Resetting the in-memory A and D sets costs C3 per tuple they hold. *)
+  Cost_meter.with_category t.meter Cost_meter.Overhead (fun () ->
+      Cost_meter.charge_set_overhead t.meter
+        (List.length !marked_deletes + List.length !marked_inserts));
   Cost_meter.with_category t.meter Cost_meter.Refresh (fun () ->
       List.iter
         (fun tuple -> Materialized.apply t.mat Delete (View_def.sp_output ~tids:t.tids t.view tuple))

@@ -41,7 +41,7 @@ let base_relation ctx schema ~key_col initial =
 let hypothetical ?layout ctx ~base ~schema ~ad_buckets =
   Vmat_hypo.Hr.create ~disk:(Ctx.disk ctx) ~tids:(Ctx.tids ctx) ~base ~schema ~ad_buckets
     ~tuples_per_page:(blocking_factor (Ctx.geometry ctx) schema)
-    ?layout ~sanitize:(Ctx.sanitizer ctx) ()
+    ?layout ()
 
 (* Observability: run a refresh body inside a trace span that records, at
    span end, how much the refresh actually charged (modeled ms, all

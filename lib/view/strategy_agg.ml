@@ -150,7 +150,7 @@ let immediate env =
 let recompute env =
   let base = make_base_btree env in
   let m = meter env in
-  let compiled = Predicate.compile (sp env).sp_base (sp env).sp_pred in
+  let compiled = Predicate.compile (sp env).sp_pred in
   let handle_transaction changes =
     Cost_meter.with_category m Cost_meter.Base (fun () ->
         List.iter

@@ -181,7 +181,7 @@ let qmod_loopjoin env =
           changes;
         Buffer_pool.invalidate (Btree.pool base))
   in
-  let compiled = Predicate.compile env.view.j_left env.view.j_left_pred in
+  let compiled = Predicate.compile env.view.j_left_pred in
   let answer_query (q : Strategy.query) =
     Cost_meter.with_category m Cost_meter.Query (fun () ->
         (* Modified-query test straight off the cells; only joining survivors

@@ -179,8 +179,7 @@ let deferred env = deferred_with_policy ~policy:On_demand ~name:"deferred" env
 (* The deferred strategy plus a handle on its hypothetical relation, for
    callers that must see the differential state itself rather than the
    answers it induces: the WAL checkpoint manager snapshots the net A/D
-   sets and the Bloom filter (DESIGN §9), and tests exercise
-   [Hr.rebuild_filter] against the live filter. *)
+   sets (DESIGN §9). *)
 let deferred_introspect env =
   let strategy, _refresh, hr =
     deferred_with_policy_internal ~policy:On_demand ~name:"deferred" env
@@ -305,7 +304,7 @@ let qmod_answer env m ~compiled examined (q : Strategy.query) =
 let qmod_clustered env =
   let m = meter env in
   let base = make_base_btree env in
-  let compiled = Predicate.compile env.view.sp_base env.view.sp_pred in
+  let compiled = Predicate.compile env.view.sp_pred in
   let handle_transaction changes =
     Cost_meter.with_category m Cost_meter.Base (fun () ->
         List.iter
@@ -357,7 +356,7 @@ let qmod_unclustered env =
       env.view.sp_base
   in
   let index = ref Secondary.empty in
-  let compiled = Predicate.compile env.view.sp_base env.view.sp_pred in
+  let compiled = Predicate.compile env.view.sp_pred in
   let cluster_col = base_cluster_col env in
   let key_of tuple = (Tuple.get tuple cluster_col, Tuple.tid tuple) in
   let add tuple =
@@ -421,7 +420,7 @@ let qmod_sequential env =
     Heap_file.create ~disk:(disk env) ~page_bytes:(geometry env).Strategy.page_bytes
       env.view.sp_base
   in
-  let compiled = Predicate.compile env.view.sp_base env.view.sp_pred in
+  let compiled = Predicate.compile env.view.sp_pred in
   let locators = Hashtbl.create (List.length env.initial) in
   let add tuple = Hashtbl.replace locators (Tuple.tid tuple) (Heap_file.insert heap tuple) in
   List.iter add env.initial;

@@ -22,9 +22,7 @@ val deferred : env -> Strategy.t
 val deferred_introspect : env -> Strategy.t * Vmat_hypo.Hr.t
 (** {!deferred} plus a handle on its hypothetical relation, for callers that
     need the differential state itself rather than the answers it induces:
-    the WAL checkpoint manager snapshots the net A/D sets and Bloom filter
-    (DESIGN §9), and tests compare {!Vmat_hypo.Hr.rebuild_filter} output
-    against the live filter. *)
+    the WAL checkpoint manager snapshots the net A/D sets (DESIGN §9). *)
 
 val deferred_async : env -> Strategy.t
 (** §4's asynchronous refresh: idle CPU and disk time brings the view up to

@@ -1,17 +1,19 @@
 (* Versioned checkpoint images (DESIGN §9.3).
 
-   A full image (magic "VMATCKP1") is a consistent snapshot of everything
+   A full image (magic "VMATCKP2") is a consistent snapshot of everything
    the engine would need to answer queries without the log: the net
    base-relation contents (sorted by tid — canonical and replayable), the
    materialized-view rows with duplicate counts (canonical value-key order),
    the net A/D sets of the hypothetical relation with their screening
-   markers, the Bloom filter's raw bits, and the adaptive controller's
-   state as key/value pairs.
+   markers, and the adaptive controller's state as key/value pairs.  An
+   image of the older format (magic "VMATCKP1", which also carried a Bloom
+   filter's bits) fails with "bad magic", so recovery skips it like any
+   other invalid image.
 
    A delta image (magic "VMATCKD1") records only what changed since its
    parent image: the base tids removed and the base tuples added, plus the
    fields recovery reads (op index, next txn id, strategy, adaptive
-   pairs).  View rows, A/D sets and Bloom bits stay in full images only:
+   pairs).  View rows and A/D sets stay in full images only:
    recovery rebuilds the strategy from the base and never reads them.
    Both kinds share the ckpt-%06d.img names and one id sequence.
 
@@ -24,7 +26,7 @@
 
 open Vmat_storage
 
-let magic = "VMATCKP1"
+let magic = "VMATCKP2"
 let delta_magic = "VMATCKD1"
 
 type image = {
@@ -36,8 +38,6 @@ type image = {
   ck_view : (Tuple.t * int) list;  (** view rows + duplicate counts, value-key order *)
   ck_a_net : (Tuple.t * bool) list;  (** net appended tuples + screening markers *)
   ck_d_net : (Tuple.t * bool) list;  (** net deleted tuples + screening markers *)
-  ck_bloom_bits : string;  (** raw filter bits ("" when the strategy keeps none) *)
-  ck_bloom_insertions : int;
   ck_adaptive : (string * string) list;  (** controller state (sorted keys) *)
 }
 
@@ -175,8 +175,6 @@ let encode im =
   Codec.list w counted im.ck_view;
   Codec.list w marked im.ck_a_net;
   Codec.list w marked im.ck_d_net;
-  Codec.str w im.ck_bloom_bits;
-  Codec.i64 w im.ck_bloom_insertions;
   Codec.list w pair im.ck_adaptive;
   Codec.contents w
 
@@ -190,8 +188,6 @@ let decode payload =
   let ck_view = Codec.r_list r r_counted in
   let ck_a_net = Codec.r_list r r_marked in
   let ck_d_net = Codec.r_list r r_marked in
-  let ck_bloom_bits = Codec.r_str r in
-  let ck_bloom_insertions = Codec.r_i64 r in
   let ck_adaptive = Codec.r_list r r_pair in
   if not (Codec.at_end r) then raise (Codec.Corrupt "trailing bytes after image");
   {
@@ -203,8 +199,6 @@ let decode payload =
     ck_view;
     ck_a_net;
     ck_d_net;
-    ck_bloom_bits;
-    ck_bloom_insertions;
     ck_adaptive;
   }
 

@@ -1,10 +1,10 @@
 (** Versioned checkpoint images (DESIGN §9.3).  Two kinds share the
     [ckpt-%06d.img] names and one id sequence:
 
-    - a {b full} image (magic ["VMATCKP1"]) snapshots the net base
+    - a {b full} image (magic ["VMATCKP2"]) snapshots the net base
       contents, the materialized view (rows + duplicate counts), the
-      hypothetical relation's net A/D sets and Bloom filter, and the
-      adaptive controller's state;
+      hypothetical relation's net A/D sets, and the adaptive controller's
+      state;
     - a {b delta} image (magic ["VMATCKD1"]) holds only the base tids
       removed and the base tuples added since its parent image, plus the
       fields recovery reads.
@@ -25,8 +25,6 @@ type image = {
   ck_view : (Tuple.t * int) list;
   ck_a_net : (Tuple.t * bool) list;
   ck_d_net : (Tuple.t * bool) list;
-  ck_bloom_bits : string;
-  ck_bloom_insertions : int;
   ck_adaptive : (string * string) list;
 }
 (** A full image. *)

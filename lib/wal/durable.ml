@@ -11,22 +11,20 @@
    The wrapper keeps an uncharged catalog of the net base contents (tid →
    tuple), maintained from the change stream it already sees.  A full
    checkpoint image snapshots that catalog plus whatever the optional probe
-   exposes of the inner strategy's state (net A/D sets, Bloom bits,
-   adaptive kind); a delta image holds only the net base changes since the
-   previous image, folded from the change lists committed since then.  The
-   wrapper writes a fresh full image once the deltas chained to the last
-   one would cost more pages than it did (DESIGN §9.3). *)
+   exposes of the inner strategy's state (net A/D sets, adaptive kind); a
+   delta image holds only the net base changes since the previous image,
+   folded from the change lists committed since then.  The wrapper writes a
+   fresh full image once the deltas chained to the last one would cost more
+   pages than it did (DESIGN §9.3). *)
 
 open Vmat_storage
 module Strategy = Vmat_view.Strategy
 module Bag = Vmat_relalg.Bag
 module Hr = Vmat_hypo.Hr
-module Bloom = Vmat_util.Bloom
 module Recorder = Vmat_obs.Recorder
 
 type probe = {
   p_ad : unit -> (Tuple.t * bool) list * (Tuple.t * bool) list;
-  p_bloom : unit -> (string * int) option;
   p_adaptive : unit -> (string * string) list;
 }
 
@@ -34,17 +32,12 @@ type probe = {
 let null_probe =
   {
     p_ad = (fun () -> ([], []));
-    p_bloom = (fun () -> None);
     p_adaptive = (fun () -> []);
   }
 
 let hr_probe hr =
   {
     p_ad = (fun () -> Hr.net_changes_unmetered hr);
-    p_bloom =
-      (fun () ->
-        let b = Hr.bloom hr in
-        Some (Bloom.snapshot_bits b, Bloom.cardinality b));
     p_adaptive = (fun () -> []);
   }
 
@@ -166,9 +159,6 @@ let view_rows (s : Strategy.t) =
 
 let full_image t ~id ~adaptive =
   let a_net, d_net = t.probe.p_ad () in
-  let bloom_bits, bloom_insertions =
-    match t.probe.p_bloom () with Some (bits, n) -> (bits, n) | None -> ("", 0)
-  in
   {
     Checkpoint.ck_id = id;
     ck_op_index = t.op_index;
@@ -178,8 +168,6 @@ let full_image t ~id ~adaptive =
     ck_view = view_rows t.inner;
     ck_a_net = a_net;
     ck_d_net = d_net;
-    ck_bloom_bits = bloom_bits;
-    ck_bloom_insertions = bloom_insertions;
     ck_adaptive = adaptive;
   }
 

@@ -9,7 +9,6 @@ open Vmat_storage
 type probe = {
   p_ad : unit -> (Tuple.t * bool) list * (Tuple.t * bool) list;
       (** net A/D sets of the inner strategy's hypothetical relation *)
-  p_bloom : unit -> (string * int) option;  (** filter bits + insertions *)
   p_adaptive : unit -> (string * string) list;  (** controller state *)
 }
 (** What a checkpoint image captures of the inner strategy's private state

@@ -163,7 +163,7 @@ let prop_compile_matches_eval3 =
           (show_opt boxed) (show_opt reference) Tuple.pp row;
       let page = Flat.create () in
       let slot = Flat.append page row in
-      let flat = Predicate.compile schema pred (Tuple_view.on page slot) in
+      let flat = Predicate.compile pred (Tuple_view.on page slot) in
       if flat <> reference then
         QCheck.Test.fail_reportf "compiled-flat %s, eval3 %s on %a"
           (show_opt flat) (show_opt reference) Tuple.pp row;

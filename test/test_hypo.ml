@@ -122,30 +122,7 @@ let test_reset_folds_into_base () =
   (* contents are unchanged by the fold-in *)
   Alcotest.(check (list int)) "contents stable" [ 1; 2 ] (ids (Hr.contents_unmetered hr))
 
-let test_lookup_read_through () =
-  let v0 = tuple ~tid:100 1 0.5 10. in
-  let _, _, hr = make_hr ~initial:[ v0; tuple ~tid:200 2 0.6 20. ] () in
-  (* untouched tuple comes from base *)
-  (match Hr.lookup hr ~key:(Value.Int 2) with
-  | Some t -> Alcotest.(check int) "base tuple" 200 (Tuple.tid t)
-  | None -> Alcotest.fail "base tuple not found");
-  (* updated tuple: the AD version wins *)
-  Hr.apply_update hr ~old_tuple:v0 ~new_tuple:(tuple ~tid:101 1 0.5 11.) ~marked_old:true
-    ~marked_new:true;
-  (match Hr.lookup hr ~key:(Value.Int 1) with
-  | Some t -> Alcotest.(check int) "AD version" 101 (Tuple.tid t)
-  | None -> Alcotest.fail "updated tuple not found");
-  (* deleted tuple is invisible *)
-  Hr.apply_delete hr (tuple ~tid:200 2 0.6 20.) ~marked:true;
-  (match Hr.lookup hr ~key:(Value.Int 2) with
-  | None -> ()
-  | Some _ -> Alcotest.fail "deleted tuple visible");
-  (* unknown key *)
-  match Hr.lookup hr ~key:(Value.Int 42) with
-  | None -> ()
-  | Some _ -> Alcotest.fail "phantom tuple"
-
-(* Property: HR read-through semantics equal replaying the log on a list. *)
+(* Property: HR contents, (R ∪ A) − D, equal replaying the log on a list. *)
 let prop_hr_equals_log_replay =
   let op_gen =
     QCheck.Gen.(
@@ -204,38 +181,6 @@ let prop_reset_preserves_contents =
       let after = List.sort Int.compare (List.map Tuple.tid (Hr.contents_unmetered hr)) in
       before = after && Hr.ad_entry_count hr = 0)
 
-let test_lookup_with_tiny_bloom () =
-  (* An 8-bit Bloom filter saturates quickly, forcing the false-positive
-     path (filter says maybe, differential file says no, base answers).
-     Correctness must be unaffected. *)
-  let initial = List.init 30 (fun i -> tuple (500 + i) (float_of_int i /. 30.) 1.) in
-  let meter = Cost_meter.create () in
-  let disk = Disk.create meter in
-  let base =
-    Btree.create ~disk ~name:"R" ~fanout:8 ~leaf_capacity:4
-      ~key_col:1 ()
-  in
-  Btree.bulk_load base initial;
-  let hr = Hr.create ~tids:test_tids ~disk ~base ~schema ~ad_buckets:4 ~tuples_per_page:4 ~bloom_bits:8 () in
-  List.iteri
-    (fun i t -> if i < 10 then Hr.apply_insert hr (Tuple.set t 0 (Value.Int i)) ~marked:true)
-    initial;
-  Hr.end_transaction hr;
-  (* base tuples answer through the saturated filter *)
-  List.iter
-    (fun i ->
-      match Hr.lookup hr ~key:(Value.Int (500 + i)) with
-      | Some t -> Alcotest.(check int) "base key found" (500 + i) (Value.as_int (Tuple.get t 0))
-      | None -> Alcotest.failf "base key %d lost behind the bloom filter" (500 + i))
-    [ 0; 7; 15; 29 ];
-  (* absent keys stay absent *)
-  List.iter
-    (fun k ->
-      match Hr.lookup hr ~key:(Value.Int k) with
-      | None -> ()
-      | Some _ -> Alcotest.failf "phantom key %d" k)
-    [ 9999; 777; 123456 ]
-
 let qcheck = List.map QCheck_alcotest.to_alcotest
 
 let suites =
@@ -250,8 +195,6 @@ let suites =
         Alcotest.test_case "AD recharged across txns" `Quick
           test_ad_page_recharged_across_transactions;
         Alcotest.test_case "reset folds into base" `Quick test_reset_folds_into_base;
-        Alcotest.test_case "lookup read-through" `Quick test_lookup_read_through;
-        Alcotest.test_case "lookup with tiny bloom filter" `Quick test_lookup_with_tiny_bloom;
       ]
       @ qcheck [ prop_hr_equals_log_replay; prop_reset_preserves_contents ] );
   ]

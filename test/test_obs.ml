@@ -570,28 +570,6 @@ let test_pool_stats_in_measurement () =
     (m.Runner.buffer_pool_misses >= 0)
 
 (* ------------------------------------------------------------------ *)
-(* Satellite: Bloom probe / false-positive counters                    *)
-(* ------------------------------------------------------------------ *)
-
-let test_bloom_counters () =
-  let b = Bloom.create ~bits:256 () in
-  for i = 0 to 9 do
-    Bloom.add b (string_of_int i)
-  done;
-  for i = 0 to 9 do
-    ignore (Bloom.mem b (string_of_int i))
-  done;
-  Alcotest.(check int) "probes counted" 10 (Bloom.probes b);
-  Alcotest.(check int) "members all positive" 10 (Bloom.positives b);
-  Bloom.note_false_positive b;
-  Alcotest.(check int) "false positives recorded" 1 (Bloom.false_positives b);
-  let fp = Bloom.observed_fp_rate b in
-  Alcotest.(check bool) "fp rate in (0,1]" true (fp > 0. && fp <= 1.);
-  Bloom.clear b;
-  Alcotest.(check int) "probe stats survive clear" 10 (Bloom.probes b);
-  Alcotest.(check bool) "filter itself cleared" false (Bloom.mem b (string_of_int 0))
-
-(* ------------------------------------------------------------------ *)
 (* Satellite: quantile edge cases (empty / single observation)         *)
 (* ------------------------------------------------------------------ *)
 
@@ -882,6 +860,5 @@ let suites =
     ( "obs: integration",
       Alcotest.test_case "observer effect is zero" `Quick test_observer_effect
       :: Alcotest.test_case "pool stats measured" `Quick test_pool_stats_in_measurement
-      :: Alcotest.test_case "bloom counters" `Quick test_bloom_counters
       :: qcheck [ metric_matches_meter ] );
   ]

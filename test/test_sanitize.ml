@@ -8,25 +8,6 @@ open Core
 let test_tids = Tuple.source ()
 
 (* ------------------------------------------------------------------ *)
-(* Bloom construction guard (satellite: degenerate m = 0 / k = 0)      *)
-(* ------------------------------------------------------------------ *)
-
-let test_bloom_guard () =
-  Alcotest.check_raises "bits = 0"
-    (Invalid_argument "Bloom.create: bits must be positive") (fun () ->
-      ignore (Bloom.create ~bits:0 ()));
-  Alcotest.check_raises "bits < 0"
-    (Invalid_argument "Bloom.create: bits must be positive") (fun () ->
-      ignore (Bloom.create ~bits:(-8) ()));
-  Alcotest.check_raises "hashes = 0"
-    (Invalid_argument "Bloom.create: hashes must be positive") (fun () ->
-      ignore (Bloom.create ~hashes:0 ~bits:64 ()));
-  (* tiny but positive geometries still round up and work *)
-  let b = Bloom.create ~bits:1 () in
-  Bloom.add b "k";
-  Alcotest.(check bool) "no false negative" true (Bloom.mem b "k")
-
-(* ------------------------------------------------------------------ *)
 (* Parallel.split_seeds (satellite: property coverage)                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -142,57 +123,6 @@ let test_cost_conservation_injected () =
        !seen)
 
 (* ------------------------------------------------------------------ *)
-(* Bloom no-false-negative audit: clean pass + injected corruption     *)
-(* ------------------------------------------------------------------ *)
-
-let hr_schema =
-  Schema.make ~name:"R"
-    ~columns:Schema.[ { name = "id"; ty = T_int }; { name = "v"; ty = T_float } ]
-    ~tuple_bytes:100 ~key:"id"
-
-let hr_tuple id v =
-  Tuple.make ~tid:(Tuple.next test_tids) [| Value.Int id; Value.Float v |]
-
-let make_sanitized_hr () =
-  let san, seen = accumulating () in
-  let meter = Cost_meter.create () in
-  let disk = Disk.create meter in
-  let base =
-    Btree.create ~disk ~name:"R" ~fanout:8 ~leaf_capacity:4
-      ~key_col:0
-      ()
-  in
-  let hr =
-    Hr.create ~tids:test_tids ~disk ~base ~schema:hr_schema ~ad_buckets:4
-      ~tuples_per_page:4 ~sanitize:san ()
-  in
-  (hr, san, seen)
-
-let test_bloom_no_false_negative_clean () =
-  let hr, san, seen = make_sanitized_hr () in
-  Hr.apply_insert hr (hr_tuple 1 0.5) ~marked:true;
-  Hr.apply_insert hr (hr_tuple 2 0.7) ~marked:true;
-  (* A genuinely absent key: the negative screen is audited and confirmed. *)
-  Alcotest.(check bool) "absent key" true
-    (Option.is_none (Hr.lookup hr ~key:(Value.Int 99)));
-  Alcotest.(check bool) "audit ran" true (Sanitize.checks_run san > 0);
-  Alcotest.(check (list string)) "no violations" [] !seen
-
-let test_bloom_no_false_negative_injected () =
-  let hr, _san, seen = make_sanitized_hr () in
-  Hr.apply_insert hr (hr_tuple 1 0.5) ~marked:true;
-  Hr.apply_insert hr (hr_tuple 2 0.7) ~marked:true;
-  (* Injected violation: wipe the filter behind the engine's back, so a key
-     with a live A/D entry now screens negative — a false negative. *)
-  Bloom.clear (Hr.bloom hr);
-  ignore (Hr.lookup hr ~key:(Value.Int 1));
-  Alcotest.(check bool) "false negative caught" true (not (List.is_empty !seen));
-  Alcotest.(check bool) "tagged bloom-no-false-negative" true
-    (List.exists
-       (fun m -> Astring.String.is_prefix ~affix:"[bloom-no-false-negative]" m)
-       !seen)
-
-(* ------------------------------------------------------------------ *)
 (* refresh ≡ recompute on live strategies                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -300,7 +230,6 @@ let suites =
     ( "sanitize",
       Alcotest.
         [
-          test_case "bloom guard" `Quick test_bloom_guard;
           test_case "split_seeds properties" `Quick test_split_seeds_properties;
           test_case "split_seeds distinct roots" `Quick test_split_seeds_distinct_roots;
           test_case "split_seeds negative" `Quick test_split_seeds_negative;
@@ -310,8 +239,6 @@ let suites =
           test_case "default handler raises" `Quick test_sanitize_default_raises;
           test_case "cost conservation clean" `Quick test_cost_conservation_clean;
           test_case "cost conservation injected" `Quick test_cost_conservation_injected;
-          test_case "bloom audit clean" `Quick test_bloom_no_false_negative_clean;
-          test_case "bloom audit injected" `Quick test_bloom_no_false_negative_injected;
           test_case "refresh=recompute deferred" `Quick test_refresh_equals_recompute_deferred;
           test_case "refresh=recompute immediate" `Quick test_refresh_equals_recompute_immediate;
           test_case "sanitize bit-identity" `Quick test_sanitize_bit_identity;

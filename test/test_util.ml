@@ -76,64 +76,22 @@ let prop_yao_monotone_k =
       let rec ok prev k = k > 50. || (f k >= prev -. 1e-9 && ok (f k) (k +. 1.)) in
       ok 0. 1.)
 
+(* §4: y(n, m, a+b) <= y(n, m, a) + y(n, m, b) — why deferring refreshes
+   as long as possible minimizes total I/O. *)
+let yao_triangle (n, m, a, b) =
+  let y k = Yao.eval ~n:(float_of_int n) ~m:(float_of_int m) ~k:(float_of_int k) in
+  y (a + b) <= y a +. y b +. 1e-6
+
 let prop_yao_triangle =
-  (* §4: y(n, m, a+b) <= y(n, m, a) + y(n, m, b) — why deferring refreshes
-     as long as possible minimizes total I/O. *)
   QCheck.Test.make ~name:"yao triangle inequality" ~count:300
     (QCheck.quad (QCheck.int_range 10 2000) (QCheck.int_range 1 100)
        (QCheck.int_range 1 500) (QCheck.int_range 1 500))
-    (fun (n, m, a, b) ->
-      let y k = Yao.eval ~n:(float_of_int n) ~m:(float_of_int m) ~k:(float_of_int k) in
-      y (a + b) <= y a +. y b +. 1e-6)
+    yao_triangle
 
-(* ------------------------------------------------------------------ *)
-(* Bloom filter                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let test_bloom_no_false_negative () =
-  let bloom = Bloom.create ~bits:4096 () in
-  let keys = List.init 200 (fun i -> Printf.sprintf "key-%d" i) in
-  List.iter (Bloom.add bloom) keys;
-  List.iter
-    (fun key -> Alcotest.(check bool) ("member " ^ key) true (Bloom.mem bloom key))
-    keys
-
-let test_bloom_screens_out_misses () =
-  let bloom = Bloom.create ~bits:(Bloom.ideal_bits ~expected_keys:100 ~fp_rate:0.01) () in
-  for i = 0 to 99 do
-    Bloom.add bloom (Printf.sprintf "present-%d" i)
-  done;
-  let false_positives = ref 0 in
-  for i = 0 to 999 do
-    if Bloom.mem bloom (Printf.sprintf "absent-%d" i) then incr false_positives
-  done;
-  if !false_positives > 50 then
-    Alcotest.failf "too many false positives: %d/1000" !false_positives
-
-let test_bloom_clear () =
-  let bloom = Bloom.create ~bits:64 () in
-  Bloom.add bloom "x";
-  Alcotest.(check bool) "present before clear" true (Bloom.mem bloom "x");
-  Bloom.clear bloom;
-  Alcotest.(check bool) "absent after clear" false (Bloom.mem bloom "x");
-  Alcotest.(check int) "cardinality reset" 0 (Bloom.cardinality bloom)
-
-let test_bloom_fp_estimate () =
-  let bloom = Bloom.create ~bits:1000 ~hashes:3 () in
-  Alcotest.(check bool) "empty filter fp=0" true (Bloom.false_positive_rate bloom = 0.);
-  for i = 0 to 99 do
-    Bloom.add bloom (string_of_int i)
-  done;
-  let fp = Bloom.false_positive_rate bloom in
-  Alcotest.(check bool) "estimate in (0,1)" true (fp > 0. && fp < 1.)
-
-let prop_bloom_no_false_negatives =
-  QCheck.Test.make ~name:"bloom never forgets" ~count:100
-    QCheck.(list_of_size (Gen.int_range 0 50) string)
-    (fun keys ->
-      let bloom = Bloom.create ~bits:256 () in
-      List.iter (Bloom.add bloom) keys;
-      List.for_all (Bloom.mem bloom) keys)
+(* A non-integer blocking factor, p = 26/25: y(25) must stay below
+   y(20) + y(5) = 24.56, short of m = 25. *)
+let test_yao_triangle_fractional_p () =
+  Alcotest.(check bool) "y(26, 25, 20 + 5) <= y(20) + y(5)" true (yao_triangle (26, 25, 20, 5))
 
 (* ------------------------------------------------------------------ *)
 (* RNG                                                                 *)
@@ -259,16 +217,9 @@ let suites =
         Alcotest.test_case "small exact values" `Quick test_yao_small_exact;
         Alcotest.test_case "degenerate inputs" `Quick test_yao_degenerate;
         Alcotest.test_case "cardenas close to exact" `Quick test_yao_cardenas_close;
+        Alcotest.test_case "triangle at fractional p" `Quick test_yao_triangle_fractional_p;
       ]
       @ qcheck [ prop_yao_bounds; prop_yao_monotone_k; prop_yao_triangle ] );
-    ( "util.bloom",
-      [
-        Alcotest.test_case "no false negatives" `Quick test_bloom_no_false_negative;
-        Alcotest.test_case "screens out misses" `Quick test_bloom_screens_out_misses;
-        Alcotest.test_case "clear" `Quick test_bloom_clear;
-        Alcotest.test_case "fp estimate" `Quick test_bloom_fp_estimate;
-      ]
-      @ qcheck [ prop_bloom_no_false_negatives ] );
     ( "util.rng",
       [
         Alcotest.test_case "deterministic" `Quick test_rng_deterministic;

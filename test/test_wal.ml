@@ -20,6 +20,8 @@ let tiny =
 let hex s =
   String.concat "" (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.init (String.length s) (String.get s)))
 
+let unhex h = String.init (String.length h / 2) (fun i -> Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
+
 let tid_src = Tuple.source ~first:1000 ()
 
 let mk_tuple values = Tuple.make ~tid:(Tuple.next tid_src) (Array.of_list values)
@@ -408,8 +410,6 @@ let sample_image id =
     ck_view = [ (t2, 2) ];
     ck_a_net = [ (t1, true) ];
     ck_d_net = [ (t2, false) ];
-    ck_bloom_bits = "\x01\x02\x03\x04";
-    ck_bloom_insertions = 9;
     ck_adaptive = [ ("kind", "immediate") ];
   }
 
@@ -424,7 +424,6 @@ let test_checkpoint_roundtrip () =
       Alcotest.(check int) "txn" im.Checkpoint.ck_next_txn_id im'.Checkpoint.ck_next_txn_id;
       Alcotest.(check string) "strategy" "deferred" im'.Checkpoint.ck_strategy;
       Alcotest.(check int) "base" 2 (List.length im'.Checkpoint.ck_base);
-      Alcotest.(check string) "bloom" im.Checkpoint.ck_bloom_bits im'.Checkpoint.ck_bloom_bits;
       Alcotest.(check (list (pair string string)))
         "adaptive" im.Checkpoint.ck_adaptive im'.Checkpoint.ck_adaptive
 
@@ -440,8 +439,6 @@ let golden_image () =
     ck_view = [ (t2, 2) ];
     ck_a_net = [ (t1, true) ];
     ck_d_net = [ (t2, false) ];
-    ck_bloom_bits = "\x01\x02\x03\x04";
-    ck_bloom_insertions = 9;
     ck_adaptive = [ ("kind", "immediate") ];
   }
 
@@ -449,6 +446,19 @@ let test_checkpoint_golden_bytes () =
   (* magic, frame header (length, CRC) and payload of a small image *)
   Alcotest.(check string)
     "image bytes"
+    ("564d4154434b5032e4000000f2dd3dd40200000000000000110000000000000005000000"
+   ^ "0000000008000000646566657272656402000000030000000000000002000000020a00"
+   ^ "00000000000003000000000000d03f040000000000000002000000020b000000000000"
+   ^ "0004010000007601000000040000000000000002000000020b00000000000000040100"
+   ^ "000076020000000000000001000000030000000000000002000000020a000000000000"
+   ^ "0003000000000000d03f0101000000040000000000000002000000020b000000000000"
+   ^ "000401000000760001000000040000006b696e6409000000696d6d656469617465")
+    (hex (Checkpoint.to_bytes (golden_image ())))
+
+(* The same image in the older format (magic VMATCKP1), which also carried
+   four bytes of Bloom filter bits and an insertion count. *)
+let v1_golden_image =
+  unhex
     ("564d4154434b5031f40000005b25f9d20200000000000000110000000000000005000000"
    ^ "0000000008000000646566657272656402000000030000000000000002000000020a00"
    ^ "00000000000003000000000000d03f040000000000000002000000020b000000000000"
@@ -457,7 +467,6 @@ let test_checkpoint_golden_bytes () =
    ^ "0003000000000000d03f0101000000040000000000000002000000020b000000000000"
    ^ "00040100000076000400000001020304090000000000000001000000040000006b696e"
    ^ "6409000000696d6d656469617465")
-    (hex (Checkpoint.to_bytes (golden_image ())))
 
 let write_full dev im = Checkpoint.write dev ~id:im.Checkpoint.ck_id (Checkpoint.to_bytes im)
 let write_delta dev d = Checkpoint.write dev ~id:d.Checkpoint.cd_id (Checkpoint.delta_to_bytes d)
@@ -491,6 +500,19 @@ let test_checkpoint_latest_skips_corrupt () =
   (match Checkpoint.read dev ~id:2 with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "corrupt image validated");
+  (* an older-format image is refused by its magic: recovery falls back past
+     it, to the older image here and to the log when it is the only one *)
+  (match Checkpoint.of_bytes v1_golden_image with
+  | Error e -> Alcotest.(check string) "older format refused" "bad magic" e
+  | Ok _ -> Alcotest.fail "older-format image validated");
+  Device.write_atomic dev ~name:(Checkpoint.file_name 3) v1_golden_image;
+  (match Checkpoint.latest dev with
+  | Some ch -> Alcotest.(check int) "older format skipped" 1 ch.Checkpoint.ch_full_id
+  | None -> Alcotest.fail "older image not found");
+  let only_v1 = Device.memory () in
+  Device.write_atomic only_v1 ~name:(Checkpoint.file_name 1) v1_golden_image;
+  Alcotest.(check bool) "older format alone: the log covers everything" true
+    (Option.is_none (Checkpoint.latest only_v1));
   Alcotest.(check (option int)) "file name round-trip" (Some 7)
     (Checkpoint.file_id (Checkpoint.file_name 7))
 
@@ -705,45 +727,6 @@ let test_fuzz_delta_decode () =
        ~count:3000 (mutant_arb seeds) (fun payload ->
          match Checkpoint.of_bytes (magic ^ Codec.frame payload) with
          | Ok _ | Error _ -> true))
-
-(* ------------------------------------------------------------------ *)
-(* Hr.rebuild_filter (satellite)                                       *)
-(* ------------------------------------------------------------------ *)
-
-let test_rebuild_filter () =
-  let p = { tiny with Params.k_updates = 8. } in
-  let setup = Experiment.model1_setup ~seed:5 p in
-  let ctx = Experiment.fresh_ctx p ~first_tid:setup.Experiment.ms_first_tid in
-  let env =
-    {
-      Strategy_sp.ctx;
-      view = setup.Experiment.ms_dataset.Dataset.m1_view;
-      initial = setup.Experiment.ms_dataset.Dataset.m1_tuples;
-      ad_buckets = Experiment.ad_buckets_for p;
-    }
-  in
-  let strategy, hr = Strategy_sp.deferred_introspect env in
-  (* apply only the transactions, so the A/D sets stay resident *)
-  List.iter
-    (function
-      | Stream.Txn changes -> strategy.Strategy.handle_transaction changes
-      | Stream.Query _ -> ())
-    setup.Experiment.ms_ops;
-  let a_net, d_net = Hr.net_changes_unmetered hr in
-  Alcotest.(check bool) "workload produced pending changes" true
-    (List.length a_net + List.length d_net > 0);
-  let bloom = Hr.bloom hr in
-  let before = Bloom.snapshot_bits bloom in
-  Hr.rebuild_filter hr;
-  Alcotest.(check string) "rebuilt filter is bit-identical" before
-    (Bloom.snapshot_bits bloom);
-  (* no false negatives over the resident A/D tuples *)
-  let key_col = Schema.key_index (Hr.schema hr) in
-  List.iter
-    (fun (tuple, _) ->
-      Alcotest.(check bool) "resident key present" true
-        (Bloom.mem bloom (Value.key_string (Tuple.get tuple key_col))))
-    (a_net @ d_net)
 
 (* ------------------------------------------------------------------ *)
 (* Durable wrapper: same answers, costs isolated to the Wal category   *)
@@ -1163,7 +1146,6 @@ let suites =
         Alcotest.test_case "delta rejects malformed lists" `Quick test_delta_rejects_malformed;
         Alcotest.test_case "chain fold" `Quick test_chain_fold;
         Alcotest.test_case "chain falls back past corrupt links" `Quick test_chain_falls_back;
-        Alcotest.test_case "hr rebuild_filter" `Quick test_rebuild_filter;
       ] );
     ( "wal-fuzz",
       [
