@@ -194,32 +194,39 @@ let relevant (rt : node_rt) tuple = Predicate.eval rt.node.nd_def.sp_pred tuple
    conceptually-stored marker bits); transient nodes only tally their
    would-be work and row count for the advisor.  It reads [Hr.net_changes]
    itself rather than [Hr.drain] because it applies the deltas node by
-   node.  [Hr.reset] then folds the deltas into the base relation, which is
-   what keeps transient query answering (a base or ancestor scan) current. *)
+   node.  [Hr.reset] then folds the same deltas into the base relation,
+   which is what keeps transient query answering (a base or ancestor scan)
+   current. *)
 let refresh_all t =
   if t.any_stale then begin
     t.refreshes <- t.refreshes + 1;
-    Cost_meter.with_category t.meter Cost_meter.Refresh (fun () ->
-        let a_net, d_net = Hr.net_changes t.hr in
-        Array.iter
-          (fun rt ->
-            let apply_if action (tuple, marked) =
-              if marked && relevant rt tuple then begin
-                rt.applied_w <- rt.applied_w + 1;
-                rt.applied_n <- rt.applied_n + 1;
-                rt.rows <-
-                  (match action with Materialized.Insert -> rt.rows + 1 | Materialized.Delete -> rt.rows - 1);
-                match rt.mat with
-                | Some mat ->
-                    Materialized.apply mat action (View_def.sp_output ~tids:t.tids rt.node.nd_def tuple)
-                | None -> ()
-              end
-            in
-            List.iter (apply_if Materialized.Delete) d_net;
-            List.iter (apply_if Materialized.Insert) a_net;
-            match rt.mat with Some m -> Materialized.flush m | None -> ())
-          t.nodes);
-    Hr.reset t.hr;
+    let net =
+      Cost_meter.with_category t.meter Cost_meter.Refresh (fun () ->
+          let net = Hr.net_changes t.hr in
+          Array.iter
+            (fun rt ->
+              let apply action tuple =
+                if relevant rt tuple then begin
+                  rt.applied_w <- rt.applied_w + 1;
+                  rt.applied_n <- rt.applied_n + 1;
+                  rt.rows <-
+                    (match action with
+                    | Materialized.Insert -> rt.rows + 1
+                    | Materialized.Delete -> rt.rows - 1);
+                  match rt.mat with
+                  | Some mat ->
+                      Materialized.apply mat action
+                        (View_def.sp_output ~tids:t.tids rt.node.nd_def tuple)
+                  | None -> ()
+                end
+              in
+              Hr.iter_net net ~delete:(apply Materialized.Delete)
+                ~insert:(apply Materialized.Insert);
+              match rt.mat with Some m -> Materialized.flush m | None -> ())
+            t.nodes;
+          net)
+    in
+    Hr.reset t.hr net;
     t.any_stale <- false
   end
 

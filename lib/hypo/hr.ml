@@ -23,6 +23,7 @@ type t = {
   ad_deletes : Hash_file.t option;  (* split layout only *)
   meter : Cost_meter.t;
   tids : Tuple.source;
+  mutable version : int;  (* bumped by every write to AD and by every fold *)
 }
 
 let create ~disk ~tids ~base ~schema ~ad_buckets ~tuples_per_page ?(layout = Combined) () =
@@ -38,7 +39,7 @@ let create ~disk ~tids ~base ~schema ~ad_buckets ~tuples_per_page ?(layout = Com
         let half = max 1 ((ad_buckets + 1) / 2) in
         (file "a" half, Some (file "d" half))
   in
-  { base; schema; ad; ad_deletes; meter = Disk.meter disk; tids }
+  { base; schema; ad; ad_deletes; meter = Disk.meter disk; tids; version = 0 }
 
 (* The file an entry of the given role is stored in. *)
 let file_for t role =
@@ -55,14 +56,6 @@ let encode t tuple ~role ~marker =
     (Array.append (Tuple.values tuple) [| role; Value.Int (Tuple.tid tuple); marker |])
 
 let no_pair = -1
-
-(* Decode straight off the page cells, boxing only the base-tuple prefix. *)
-let decode_view t view =
-  let n = Schema.arity t.schema in
-  let is_appended = Tuple_view.compare_col view n role_appended = 0 in
-  let orig_tid = Tuple_view.get_int view (n + 1) in
-  let marked = Tuple_view.get_bool_or_false view (n + 2) in
-  (is_appended, marked, Tuple_view.materialize_prefix view n ~tid:orig_tid)
 
 (* The paper fixes the "read the current tuple" step at one I/O (§2.2.2):
    a Bloom filter [Seve76] screens the read away from AD, so it touches
@@ -92,6 +85,7 @@ let note_ad_gauges t =
   end
 
 let store t ~role entry =
+  t.version <- t.version + 1;
   Cost_meter.with_category t.meter Cost_meter.Hr (fun () ->
       Hash_file.insert (file_for t role) entry)
 
@@ -134,7 +128,40 @@ let end_transaction t =
       List.iter (fun f -> Buffer_pool.invalidate (Hash_file.pool f)) (all_files t));
   note_ad_gauges t
 
-let identity_key tuple = Tuple.value_key tuple ^ "#" ^ string_of_int (Tuple.tid tuple)
+(* One A/D entry as a refresh reads it.  Its identity is the original tid
+   plus the cells of the base tuple: an append and a delete of the same
+   tuple instance share it, whatever tids the entries themselves got. *)
+type entry = {
+  tuple : Tuple.t;  (* the base tuple, carrying its original tid *)
+  appended : bool;
+  marked : bool;  (* the screening result; false for a pair's half *)
+  pair : int;  (* the pair id of a readily-ignorable half, else [no_pair] *)
+  mutable cancelled : bool;
+}
+
+(* Decode straight off the page cells, boxing only the base-tuple prefix. *)
+let decode t view =
+  let n = Schema.arity t.schema in
+  let orig_tid = Tuple_view.get_int view (n + 1) in
+  {
+    tuple = Tuple_view.materialize_prefix view n ~tid:orig_tid;
+    appended = Tuple_view.compare_col view n role_appended = 0;
+    marked = Tuple_view.get_bool_or_false view (n + 2);
+    pair = Tuple_view.get_int_or view (n + 2) ~default:no_pair;
+    cancelled = false;
+  }
+
+(* The entries a refresh looks up by identity — every D entry and every half
+   of a readily-ignorable pair — indexed by original tid, each tid's entries
+   newest (last in scan order) first.  Matches are confirmed cell by cell. *)
+let index by_tid e =
+  let tid = Tuple.tid e.tuple in
+  Hashtbl.replace by_tid tid (e :: Option.value ~default:[] (Hashtbl.find_opt by_tid tid))
+
+let newest by_tid tuple p =
+  match Hashtbl.find_opt by_tid (Tuple.tid tuple) with
+  | None -> None
+  | Some entries -> List.find_opt (fun e -> p e && Tuple.equal_values e.tuple tuple) entries
 
 (* Readily-ignorable pairs ({!apply_ignorable}) carry no screening result:
    both images of such a pair screen alike, so while both halves stand the
@@ -143,18 +170,22 @@ let identity_key tuple = Tuple.value_key tuple ^ "#" ^ string_of_int (Tuple.tid 
    images share, and the surviving half takes it; a half that cancels
    against another pair's half joins the two pairs, whose survivors then
    share one result.  Pairs that no screening result reaches stay unmarked,
-   a no-op for the view. *)
+   a no-op for the view.  An identity's half is the newest of its role. *)
 type pairs = {
-  halves : (bool * string, int) Hashtbl.t;  (* (appended?, identity) of a half -> its pair *)
   joined : (int, int) Hashtbl.t;  (* union-find links between pairs *)
   mutable reached : (int * bool) list;  (* a pair and a result that reached it *)
 }
 
+let half by_tid ~appended tuple =
+  Option.map
+    (fun e -> e.pair)
+    (newest by_tid tuple (fun e -> e.appended = appended && e.pair <> no_pair))
+
 let rec pair_root p pair =
   match Hashtbl.find_opt p.joined pair with Some up -> pair_root p up | None -> pair
 
-let note_cancelled p key ~a_marked ~d_marked =
-  match (Hashtbl.find_opt p.halves (true, key), Hashtbl.find_opt p.halves (false, key)) with
+let note_cancelled p by_tid tuple ~a_marked ~d_marked =
+  match (half by_tid ~appended:true tuple, half by_tid ~appended:false tuple) with
   | Some pa, Some pd ->
       let ra = pair_root p pa and rd = pair_root p pd in
       if ra <> rd then Hashtbl.replace p.joined ra rd
@@ -162,107 +193,104 @@ let note_cancelled p key ~a_marked ~d_marked =
   | None, Some pd -> p.reached <- (pd, a_marked) :: p.reached
   | None, None -> ()
 
-(* The final mark of a surviving entry: its own, or the result that reached
-   its pair. *)
-let settle p =
+(* The final mark of a surviving entry: its own, or the first result that
+   reached its pair. *)
+let settle p by_tid =
   let marks = Hashtbl.create 16 in
   List.iter (fun (pair, marked) -> Hashtbl.replace marks (pair_root p pair) marked) p.reached;
-  fun appended ((tuple, _) as entry) ->
-    match Hashtbl.find_opt p.halves (appended, identity_key tuple) with
-    | None -> entry
-    | Some pair -> (tuple, Option.value ~default:false (Hashtbl.find_opt marks (pair_root p pair)))
+  fun e ->
+    match half by_tid ~appended:e.appended e.tuple with
+    | None -> e.marked
+    | Some pair -> Option.value ~default:false (Hashtbl.find_opt marks (pair_root p pair))
 
-(* Cancel append/delete pairs that refer to the same tuple instance (all
-   fields including the tid): a tuple appended and deleted within the same
-   epoch contributes to neither net set.  Both net sets come back in
-   canonical (original-tid) order: [d_net] falls out of a [Hashtbl.fold],
-   whose iteration order is unspecified, and the order in which net changes
-   are later applied to the materialized view decides the page-access
-   pattern the meter sees — so it must not depend on the hash function of
-   the running compiler (vmlint rule D3). *)
-let by_tid (t1, _) (t2, _) = Int.compare (Tuple.tid t1) (Tuple.tid t2)
+(* One pass over the entries [iter] visits.  Each A entry, in scan order,
+   cancels the newest remaining D entry of its identity: a tuple appended and
+   deleted within the same epoch contributes to neither net set.  Both net
+   sets come back in original-tid order, ties in scan order: the order in
+   which net changes are later applied to the materialized view decides the
+   page-access pattern the meter sees, so it must not depend on a hash
+   function (vmlint rule D3). *)
+let tid_order (t1, _) (t2, _) = Int.compare (Tuple.tid t1) (Tuple.tid t2)
 
-let cancel_pairs ?pairs (a, d) =
-  let deleted = Hashtbl.create (List.length d) in
-  List.iter
-    (fun (tuple, marked) ->
-      Hashtbl.add deleted (identity_key tuple) (tuple, marked))
-    d;
-  let a_net =
-    List.filter
-      (fun (tuple, a_marked) ->
-        let key = identity_key tuple in
-        match Hashtbl.find_opt deleted key with
-        | None -> true
-        | Some (_, d_marked) ->
-            Hashtbl.remove deleted key;
-            (match pairs with Some p -> note_cancelled p key ~a_marked ~d_marked | None -> ());
-            false)
-      a
-  in
-  match pairs with
-  | None ->
-      ( List.sort by_tid a_net,
-        List.sort by_tid (Hashtbl.fold (fun _ entry acc -> entry :: acc) deleted []) )
-  | Some p ->
-      let settle = settle p in
-      ( List.sort by_tid (List.map (settle true) a_net),
-        List.sort by_tid (Hashtbl.fold (fun _ entry acc -> settle false entry :: acc) deleted []) )
-
-(* Partition the entries [iter] visits by role in file-scan order (the order
-   the historical collect-then-partition produced), decoding off the page
-   cells; the halves of readily-ignorable pairs are indexed only when some
-   are met. *)
-let partition t iter =
-  let a = ref [] and d = ref [] in
-  let pairs = lazy { halves = Hashtbl.create 16; joined = Hashtbl.create 16; reached = [] } in
-  let marker_col = Schema.arity t.schema + 2 in
+let read_net t iter =
+  let by_tid = Hashtbl.create 64 in
+  let a = ref [] and d = ref [] and any_pair = ref false in
   List.iter
     (fun f ->
       iter f (fun view ->
-          let is_appended, marked, tuple = decode_view t view in
-          let pair = Tuple_view.get_int_or view marker_col ~default:no_pair in
-          if pair <> no_pair then
-            Hashtbl.replace (Lazy.force pairs).halves (is_appended, identity_key tuple) pair;
-          if is_appended then a := (tuple, marked) :: !a else d := (tuple, marked) :: !d))
+          let e = decode t view in
+          if e.pair <> no_pair then any_pair := true;
+          if e.appended then a := e :: !a else d := e :: !d;
+          if (not e.appended) || e.pair <> no_pair then index by_tid e))
     (all_files t);
-  (List.rev !a, List.rev !d, if Lazy.is_val pairs then Some (Lazy.force pairs) else None)
+  let a = List.rev !a and d = List.rev !d in
+  let pairs = if !any_pair then Some { joined = Hashtbl.create 16; reached = [] } else None in
+  List.iter
+    (fun e ->
+      match newest by_tid e.tuple (fun x -> (not x.appended) && not x.cancelled) with
+      | None -> ()
+      | Some x ->
+          x.cancelled <- true;
+          e.cancelled <- true;
+          Option.iter
+            (fun p -> note_cancelled p by_tid e.tuple ~a_marked:e.marked ~d_marked:x.marked)
+            pairs)
+    a;
+  let mark = match pairs with None -> (fun e -> e.marked) | Some p -> settle p by_tid in
+  let net entries =
+    List.stable_sort tid_order
+      (List.filter_map (fun e -> if e.cancelled then None else Some (e.tuple, mark e)) entries)
+  in
+  (net a, net d)
 
-let collect_net t iter =
-  let a, d, pairs = partition t iter in
-  cancel_pairs ?pairs (a, d)
+type net = {
+  a_net : (Tuple.t * bool) list;
+  d_net : (Tuple.t * bool) list;
+  read_at : int;  (* the relation's version when it was read *)
+}
 
-let net_changes t = collect_net t Hash_file.scan_views
-let net_changes_unmetered t = collect_net t Hash_file.iter_views_unmetered
+let net_changes t =
+  let a_net, d_net = read_net t Hash_file.scan_views in
+  { a_net; d_net; read_at = t.version }
+
+let net_changes_unmetered t = read_net t Hash_file.iter_views_unmetered
 
 let iter_marked (a_net, d_net) ~delete ~insert =
   List.iter (fun (tuple, marked) -> if marked then delete tuple) d_net;
   List.iter (fun (tuple, marked) -> if marked then insert tuple) a_net
 
-let drain t ~delete ~insert = iter_marked (net_changes t) ~delete ~insert
+let iter_net net ~delete ~insert = iter_marked (net.a_net, net.d_net) ~delete ~insert
+
+let drain t ~delete ~insert =
+  let net = net_changes t in
+  iter_net net ~delete ~insert;
+  net
+
 let pending t ~delete ~insert = iter_marked (net_changes_unmetered t) ~delete ~insert
 
-let reset t =
-  let a_net, d_net = net_changes t in
+let reset t net =
+  if net.read_at <> t.version then invalid_arg "Hr.reset: net changes read before a later change";
   Cost_meter.with_category t.meter Cost_meter.Base (fun () ->
       List.iter
         (fun (tuple, _) ->
           ignore (Btree.remove t.base ~key:(Btree.key_of t.base tuple) ~tid:(Tuple.tid tuple)))
-        d_net;
-      List.iter (fun (tuple, _) -> Btree.insert t.base tuple) a_net;
+        net.d_net;
+      List.iter (fun (tuple, _) -> Btree.insert t.base tuple) net.a_net;
       Buffer_pool.invalidate (Btree.pool t.base));
   List.iter
     (fun f ->
       Hash_file.clear f;
       Buffer_pool.invalidate (Hash_file.pool f))
     (all_files t);
+  t.version <- t.version + 1;
   note_ad_gauges t
 
 let contents_unmetered t =
   let a_net, d_net = net_changes_unmetered t in
-  let dead = Hashtbl.create 64 in
-  List.iter (fun (tuple, _) -> Hashtbl.replace dead (identity_key tuple) ()) d_net;
+  let dead = Hashtbl.create 64 in  (* original tid -> net-deleted tuples *)
+  List.iter (fun (tuple, _) -> Hashtbl.add dead (Tuple.tid tuple) tuple) d_net;
   let out = ref (List.rev_map fst a_net) in
   Btree.iter_unmetered t.base (fun tuple ->
-      if not (Hashtbl.mem dead (identity_key tuple)) then out := tuple :: !out);
+      if not (List.exists (Tuple.equal_values tuple) (Hashtbl.find_all dead (Tuple.tid tuple)))
+      then out := tuple :: !out);
   !out

@@ -15,8 +15,9 @@
     Each entry carries the screening marker set by the strategy when the
     update arrived, so deferred refresh does not re-screen.  This module is
     the only one that knows how a marker is stored and routed: engines
-    record changes with {!apply} (or {!apply_ignorable}) and read the
-    marked net changes back with {!drain} or {!pending}. *)
+    record changes with {!apply} (or {!apply_ignorable}), read the marked
+    net changes back with {!drain} or {!pending}, and fold what {!drain}
+    read with {!reset}. *)
 
 open Vmat_storage
 
@@ -80,31 +81,45 @@ val end_transaction : t -> unit
     touches are charged afresh (the paper charges [y(2u, 2u/T, l)] per
     transaction). *)
 
-val net_changes : t -> (Tuple.t * bool) list * (Tuple.t * bool) list
-(** [(a_net, d_net)] with markers: entries appended-then-deleted in the same
-    epoch cancel (matching on all fields including the tid), and the
-    surviving halves of readily-ignorable pairs carry their resolved
-    marker.  Charges one read of every [AD] page. *)
+type net
+(** The net changes of one refresh epoch, as {!net_changes} or {!drain} read
+    them from [AD].  {!reset} folds exactly these sets into the base, so a
+    refresh reads [AD] once. *)
 
-val drain : t -> delete:(Tuple.t -> unit) -> insert:(Tuple.t -> unit) -> unit
-(** {!net_changes}, then each marked net deletion to [delete] and each
-    marked net append to [insert], deletions first: the refresh step of
-    every single-view deferred engine. *)
+val net_changes : t -> net
+(** Read every [AD] page once (charged through the [AD] buffer pool to the
+    caller's category) and form A-net and D-net.  An append cancels the
+    newest remaining delete of the same tuple instance — the same original
+    tid and equal cells — so entries appended-then-deleted in the same epoch
+    drop out, and the surviving halves of readily-ignorable pairs carry their
+    resolved marker.  Both sets are in original-tid order, ties in scan
+    order. *)
+
+val iter_net : net -> delete:(Tuple.t -> unit) -> insert:(Tuple.t -> unit) -> unit
+(** Each marked net deletion to [delete], then each marked net append to
+    [insert], in the sets' order.  Free of charge. *)
+
+val drain : t -> delete:(Tuple.t -> unit) -> insert:(Tuple.t -> unit) -> net
+(** {!net_changes}, then {!iter_net}: the refresh step of every single-view
+    deferred engine.  The result is what its {!reset} folds. *)
 
 val pending : t -> delete:(Tuple.t -> unit) -> insert:(Tuple.t -> unit) -> unit
-(** {!drain} over {!net_changes_unmetered}, free of charge: overlays the
+(** {!iter_net} over {!net_changes_unmetered}, free of charge: overlays the
     pending changes on a stored view's contents. *)
 
 val ad_entry_count : t -> int
 val ad_page_count : t -> int
 
-val reset : t -> unit
+val reset : t -> net -> unit
 (** Fold the differential file into the base relation
-    ([R := (R ∪ A) − D; A := ∅; D := ∅]).  The fold-in I/O is charged to
-    the [Base] category (see DESIGN.md). *)
+    ([R := (R ∪ A) − D; A := ∅; D := ∅]) from the net changes the refresh
+    just read, without reading [AD] again.  The fold-in I/O is charged to
+    the [Base] category (see DESIGN.md).
+    @raise Invalid_argument if [AD] changed after [net] was read. *)
 
 val contents_unmetered : t -> Tuple.t list
 (** Current true contents [(R ∪ A) − D] without charges (tests). *)
 
 val net_changes_unmetered : t -> (Tuple.t * bool) list * (Tuple.t * bool) list
-(** Like {!net_changes} but free of charge (tests/equivalence). *)
+(** [(a_net, d_net)] with markers, as {!net_changes} forms them, but read
+    free of charge (tests, equivalence, checkpoint probes). *)

@@ -8,8 +8,11 @@ open Vmat_storage
 
    Leaves hold their rows in flat page buffers, in (key, tid) order by slot;
    the key is a column offset ([key_col]), so ordering and range bounds are
-   evaluated straight off page cells without boxing.  Internal nodes are tiny
-   (a handful of separators) and stay boxed. *)
+   evaluated straight off page cells without boxing.  Internal nodes keep
+   their boxed separators and children in arrays.  Every descent and every
+   in-leaf lookup is a binary search; each node on the path is still read
+   through the pool exactly once, so page touches and charges do not depend
+   on how a node is searched. *)
 
 type pair = Value.t * int
 
@@ -24,8 +27,8 @@ type leaf = {
 
 type internal = {
   i_pid : Disk.page_id;
-  mutable i_keys : pair list;  (* n separators for n+1 children *)
-  mutable i_children : node list;
+  mutable i_keys : pair array;  (* n separators for n+1 children *)
+  mutable i_children : node array;
 }
 
 and node = Leaf of leaf | Internal of internal
@@ -82,7 +85,7 @@ let index_pages t = t.n_index
 let height t =
   let rec depth = function
     | Leaf _ -> 0
-    | Internal n -> 1 + depth (List.hd n.i_children)
+    | Internal n -> 1 + depth n.i_children.(0)
   in
   depth t.root
 
@@ -96,23 +99,43 @@ let compare_slot_pair t rows slot key tid =
 
 let slot_pair t rows slot = (Flat.cell_value rows slot t.key_col, Flat.tid_at rows slot)
 
-(* Index of the child to descend into: the number of separators <= target. *)
-let child_index keys target =
-  let rec loop i = function
-    | [] -> i
-    | k :: rest -> if compare_pair k target <= 0 then loop (i + 1) rest else i
-  in
-  loop 0 keys
+(* Binary searches over [lo, hi), each for the first index at which its
+   ordering test fails (the test holds on a prefix of the range).  They take
+   their operands as arguments, so a search allocates nothing. *)
 
-let nth_child n i = List.nth n.i_children i
+(* The number of separators <= target: the index of the child to descend
+   into. *)
+let rec child_search keys target lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) lsr 1 in
+    if compare_pair keys.(mid) target <= 0 then child_search keys target (mid + 1) hi
+    else child_search keys target lo mid
 
-let split_at n list =
-  let rec loop i acc = function
-    | rest when i = 0 -> (List.rev acc, rest)
-    | [] -> (List.rev acc, [])
-    | x :: rest -> loop (i - 1) (x :: acc) rest
-  in
-  loop n [] list
+let child_index keys target = child_search keys target 0 (Array.length keys)
+
+(* The first slot whose row is at or above (key, tid). *)
+let rec pair_search t rows key tid lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) lsr 1 in
+    if compare_slot_pair t rows mid key tid < 0 then pair_search t rows key tid (mid + 1) hi
+    else pair_search t rows key tid lo mid
+
+(* The first slot whose key is at or above [key]. *)
+let rec key_search t rows key lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) lsr 1 in
+    if Flat.compare_cell_value rows mid t.key_col key < 0 then key_search t rows key (mid + 1) hi
+    else key_search t rows key lo mid
+
+(* [a] with [x] inserted at index [i]. *)
+let array_insert a i x =
+  let b = Array.make (Array.length a + 1) x in
+  Array.blit a 0 b 0 i;
+  Array.blit a i b (i + 1) (Array.length a - i);
+  b
 
 let split_leaf t leaf =
   let n = Flat.length leaf.l_rows in
@@ -132,20 +155,19 @@ let split_leaf t leaf =
   (sep, Leaf right)
 
 let split_internal t node =
-  let c = List.length node.i_children in
+  let c = Array.length node.i_children in
   let m = (c + 1) / 2 in
-  let left_children, right_children = split_at m node.i_children in
-  let left_keys, promoted_and_right = split_at (m - 1) node.i_keys in
-  let promoted, right_keys =
-    match promoted_and_right with
-    | p :: rest -> (p, rest)
-    | [] -> assert false
-  in
+  let keys = node.i_keys in
+  let promoted = keys.(m - 1) in
   let right =
-    { i_pid = Disk.alloc t.disk ~file:(file_name t "index"); i_keys = right_keys; i_children = right_children }
+    {
+      i_pid = Disk.alloc t.disk ~file:(file_name t "index");
+      i_keys = Array.sub keys m (Array.length keys - m);
+      i_children = Array.sub node.i_children m (c - m);
+    }
   in
-  node.i_keys <- left_keys;
-  node.i_children <- left_children;
+  node.i_keys <- Array.sub keys 0 (m - 1);
+  node.i_children <- Array.sub node.i_children 0 m;
   t.n_index <- t.n_index + 1;
   Buffer_pool.write t.pool node.i_pid;
   Buffer_pool.write t.pool right.i_pid;
@@ -155,28 +177,22 @@ let rec insert_into t node ((key, tid) as pair) tuple =
   match node with
   | Leaf leaf ->
       Buffer_pool.read t.pool leaf.l_pid;
-      (* Position of the first row >= the new pair — the sorted-insert point
-         ((key, tid) pairs are unique, so ties cannot arise). *)
-      let n = Flat.length leaf.l_rows in
-      let rec position i =
-        if i >= n || compare_slot_pair t leaf.l_rows i key tid >= 0 then i
-        else position (i + 1)
-      in
-      Flat.insert_at leaf.l_rows (position 0) tuple;
+      (* The sorted-insert point ((key, tid) pairs are unique, so ties
+         cannot arise). *)
+      let rows = leaf.l_rows in
+      Flat.insert_at rows (pair_search t rows key tid 0 (Flat.length rows)) tuple;
       Buffer_pool.write t.pool leaf.l_pid;
       if Flat.length leaf.l_rows > t.leaf_capacity then Some (split_leaf t leaf) else None
   | Internal n -> (
       Buffer_pool.read t.pool n.i_pid;
       let i = child_index n.i_keys pair in
-      match insert_into t (nth_child n i) pair tuple with
+      match insert_into t n.i_children.(i) pair tuple with
       | None -> None
       | Some (sep, right_node) ->
-          let keys_before, keys_after = split_at i n.i_keys in
-          n.i_keys <- keys_before @ (sep :: keys_after);
-          let children_before, children_after = split_at (i + 1) n.i_children in
-          n.i_children <- children_before @ (right_node :: children_after);
+          n.i_keys <- array_insert n.i_keys i sep;
+          n.i_children <- array_insert n.i_children (i + 1) right_node;
           Buffer_pool.write t.pool n.i_pid;
-          if List.length n.i_children > t.fanout then Some (split_internal t n) else None)
+          if Array.length n.i_children > t.fanout then Some (split_internal t n) else None)
 
 let insert t tuple =
   let pair = pair_of t tuple in
@@ -186,8 +202,8 @@ let insert t tuple =
       let root =
         {
           i_pid = Disk.alloc t.disk ~file:(file_name t "index");
-          i_keys = [ sep ];
-          i_children = [ t.root; right_node ];
+          i_keys = [| sep |];
+          i_children = [| t.root; right_node |];
         }
       in
       t.n_index <- t.n_index + 1;
@@ -202,45 +218,38 @@ let rec leaf_for t node pair =
       leaf
   | Internal n ->
       Buffer_pool.read t.pool n.i_pid;
-      leaf_for t (nth_child n (child_index n.i_keys pair)) pair
+      leaf_for t n.i_children.(child_index n.i_keys pair) pair
+
+(* The slot of the entry (key, tid) in [leaf], or -1 when it is absent. *)
+let slot_of t leaf ~key ~tid =
+  let rows = leaf.l_rows in
+  let n = Flat.length rows in
+  let slot = pair_search t rows key tid 0 n in
+  if slot < n && compare_slot_pair t rows slot key tid = 0 then slot else -1
 
 let remove t ~key ~tid =
   let leaf = leaf_for t t.root (key, tid) in
-  let found = ref false in
-  (* Backwards keeps slot indices stable across removals. *)
-  for slot = Flat.length leaf.l_rows - 1 downto 0 do
-    if
-      Flat.tid_at leaf.l_rows slot = tid
-      && Flat.compare_cell_value leaf.l_rows slot t.key_col key = 0
-    then begin
-      found := true;
-      t.count <- t.count - 1;
-      Flat.remove_at leaf.l_rows slot
-    end
-  done;
-  if !found then Buffer_pool.write t.pool leaf.l_pid;
-  !found
+  let slot = slot_of t leaf ~key ~tid in
+  if slot < 0 then false
+  else begin
+    t.count <- t.count - 1;
+    Flat.remove_at leaf.l_rows slot;
+    Buffer_pool.write t.pool leaf.l_pid;
+    true
+  end
 
 let update_in_place t ~key ~tid f =
   let leaf = leaf_for t t.root (key, tid) in
-  let n = Flat.length leaf.l_rows in
-  let rec find slot =
-    if slot >= n then false
-    else if
-      Flat.tid_at leaf.l_rows slot = tid
-      && Flat.compare_cell_value leaf.l_rows slot t.key_col key = 0
-    then begin
-      let replacement = f (Flat.materialize leaf.l_rows slot) in
-      if Tuple.tid replacement <> tid || not (Value.equal (key_of t replacement) key) then
-        invalid_arg "Btree.update_in_place: replacement moved the entry";
-      Flat.replace_at leaf.l_rows slot replacement;
-      true
-    end
-    else find (slot + 1)
-  in
-  let found = find 0 in
-  if found then Buffer_pool.write t.pool leaf.l_pid;
-  found
+  let slot = slot_of t leaf ~key ~tid in
+  if slot < 0 then false
+  else begin
+    let replacement = f (Flat.materialize leaf.l_rows slot) in
+    if Tuple.tid replacement <> tid || not (Value.equal (key_of t replacement) key) then
+      invalid_arg "Btree.update_in_place: replacement moved the entry";
+    Flat.replace_at leaf.l_rows slot replacement;
+    Buffer_pool.write t.pool leaf.l_pid;
+    true
+  end
 
 (* The one range walk.  From the leftmost leaf that may hold [lo], read
    (and charge) each leaf before looking at its rows, and hand [run] the
@@ -250,10 +259,6 @@ let update_in_place t ~key ~tid f =
    the historical sorted-list walk visited them. *)
 let walk_range t ~lo ~hi run =
   if Value.compare lo hi <= 0 then begin
-    let rec seek rows n slot =
-      if slot < n && Flat.compare_cell_value rows slot t.key_col lo < 0 then seek rows n (slot + 1)
-      else slot
-    in
     let rec stop_at rows n slot =
       if slot < n && Flat.compare_cell_value rows slot t.key_col hi <= 0 then
         stop_at rows n (slot + 1)
@@ -263,7 +268,7 @@ let walk_range t ~lo ~hi run =
       Buffer_pool.read t.pool leaf.l_pid;
       let rows = leaf.l_rows in
       let n = Flat.length rows in
-      let first = if seeking then seek rows n 0 else 0 in
+      let first = if seeking then key_search t rows lo 0 n else 0 in
       let stop = stop_at rows n first in
       if first < stop then run rows first stop;
       match leaf.l_next with
@@ -309,7 +314,7 @@ let find t key =
 
 let rec leftmost_leaf = function
   | Leaf leaf -> leaf
-  | Internal n -> leftmost_leaf (List.hd n.i_children)
+  | Internal n -> leftmost_leaf n.i_children.(0)
 
 let iter_views_unmetered t f =
   let view = Tuple_view.on (Flat.create ()) 0 in
@@ -350,26 +355,21 @@ let check_invariants t =
         done;
         n
     | Internal n ->
-        let nk = List.length n.i_keys and nc = List.length n.i_children in
+        let nk = Array.length n.i_keys and nc = Array.length n.i_children in
         if nc <> nk + 1 then fail "internal arity mismatch";
         if nc > t.fanout then fail "internal over fanout";
-        let rec sorted = function
-          | a :: (b :: _ as rest) ->
-              if compare_pair a b >= 0 then fail "separators unsorted";
-              sorted rest
-          | _ -> ()
-        in
-        sorted n.i_keys;
-        let bounds =
-          (* child i is bounded by (key[i-1], key[i]) *)
-          List.mapi
-            (fun i child ->
-              let lo_i = if i = 0 then lo else Some (List.nth n.i_keys (i - 1)) in
-              let hi_i = if i = nk then hi else Some (List.nth n.i_keys i) in
-              check child ~lo:lo_i ~hi:hi_i)
-            n.i_children
-        in
-        List.fold_left ( + ) 0 bounds
+        for i = 0 to nk - 2 do
+          if compare_pair n.i_keys.(i) n.i_keys.(i + 1) >= 0 then fail "separators unsorted"
+        done;
+        (* child i is bounded by (key[i-1], key[i]) *)
+        let total = ref 0 in
+        Array.iteri
+          (fun i child ->
+            let lo_i = if i = 0 then lo else Some n.i_keys.(i - 1) in
+            let hi_i = if i = nk then hi else Some n.i_keys.(i) in
+            total := !total + check child ~lo:lo_i ~hi:hi_i)
+          n.i_children;
+        !total
   in
   let total = check t.root ~lo:None ~hi:None in
   if total <> t.count then fail "tuple count mismatch: %d <> %d" total t.count;
@@ -433,18 +433,17 @@ let bulk_load t tuples =
             let parents =
               List.map
                 (fun group ->
-                  let children = List.map fst group in
-                  let keys = List.map snd (List.tl group) in
+                  let group = Array.of_list group in
                   let node =
                     {
                       i_pid = Disk.alloc t.disk ~file:(file_name t "index");
-                      i_keys = keys;
-                      i_children = children;
+                      i_keys = Array.init (Array.length group - 1) (fun i -> snd group.(i + 1));
+                      i_children = Array.map fst group;
                     }
                   in
                   t.n_index <- t.n_index + 1;
                   Buffer_pool.write t.pool node.i_pid;
-                  (Internal node, snd (List.hd group)))
+                  (Internal node, snd group.(0)))
                 groups
             in
             build parents

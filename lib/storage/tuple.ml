@@ -49,10 +49,10 @@ let compare_values a b =
   loop 0
 
 (* Memoized: rows are keyed repeatedly (snapshot sorts/merges/digests, bag
-   lookups, A/D identity keys), and tuples are immutable, so the first
-   rendering is cached on the tuple.  Publication safety: the writer domain
-   keys every row while building a snapshot, so reader domains only ever
-   load an already-written [Some]. *)
+   lookups), and tuples are immutable, so the first rendering is cached on
+   the tuple.  Publication safety: the writer domain keys every row while
+   building a snapshot, so reader domains only ever load an already-written
+   [Some]. *)
 let value_key t =
   match t.key_memo with
   | Some key -> key

@@ -13,6 +13,7 @@ type t = {
   mat : Materialized.t;
   compiled : Tuple_view.t -> bool option;  (* sp_pred over page cursors *)
   screen : Screen.t;
+  reads : int list;  (* the view's columns, for the readily-ignorable test *)
   geometry : Strategy.geometry;
 }
 
@@ -36,7 +37,8 @@ let create ~ctx ~view ~base_cluster ~initial () =
   Materialized.rebuild mat (Delta.recompute_sp ~tids view initial);
   let screen = Screen.create ~meter ~view_name:view.sp_name ~pred:view.sp_pred () in
   let compiled = Predicate.compile view.sp_pred in
-  { meter; tids; view; base_cluster_col; base; mat; compiled; screen; geometry }
+  let reads = View_def.sp_reads view in
+  { meter; tids; view; base_cluster_col; base; mat; compiled; screen; reads; geometry }
 
 let handle_transaction t changes =
   let marked_deletes = ref [] and marked_inserts = ref [] in
@@ -49,11 +51,12 @@ let handle_transaction t changes =
                 (Btree.remove t.base ~key:(Btree.key_of t.base tuple) ~tid:(Tuple.tid tuple)))
             change.Strategy.before;
           Option.iter (Btree.insert t.base) change.Strategy.after);
-      (match change.Strategy.before with
-      | Some tuple when Screen.screen t.screen tuple -> marked_deletes := tuple :: !marked_deletes
+      let marked_old, marked_new = Screen.screen_change t.screen ~reads:t.reads change in
+      (match (change.Strategy.before, marked_old) with
+      | Some tuple, Some true -> marked_deletes := tuple :: !marked_deletes
       | _ -> ());
-      match change.Strategy.after with
-      | Some tuple when Screen.screen t.screen tuple -> marked_inserts := tuple :: !marked_inserts
+      match (change.Strategy.after, marked_new) with
+      | Some tuple, Some true -> marked_inserts := tuple :: !marked_inserts
       | _ -> ())
     changes;
   Cost_meter.with_category t.meter Cost_meter.Base (fun () ->

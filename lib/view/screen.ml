@@ -55,3 +55,19 @@ let screen t tuple =
   end
 
 let stage2_tests t = t.stage2
+
+let rec writes_no_read reads old_tuple new_tuple i =
+  i >= Tuple.arity old_tuple
+  || ((not (List.mem i reads)) || Value.equal (Tuple.get old_tuple i) (Tuple.get new_tuple i))
+     && writes_no_read reads old_tuple new_tuple (i + 1)
+
+let readily_ignorable ~reads ~old_tuple ~new_tuple =
+  Tuple.arity old_tuple = Tuple.arity new_tuple && writes_no_read reads old_tuple new_tuple 0
+
+let screen_change t ~reads (change : Strategy.change) =
+  match (change.before, change.after) with
+  | Some old_tuple, Some new_tuple when readily_ignorable ~reads ~old_tuple ~new_tuple ->
+      (Some false, Some false)
+  | before, after ->
+      let mark = Option.map (screen t) in
+      (mark before, mark after)

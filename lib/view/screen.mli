@@ -1,6 +1,5 @@
-(** The two-stage screening pipeline of §2.  (The readily-ignorable-update
-    test of [Bune79], which skips screening altogether, is
-    [Strategy_sp]'s: it needs the view's projected columns too.)
+(** The two-stage screening pipeline of §2, and the readily-ignorable-update
+    test of [Bune79] that skips it altogether for a modification.
 
     Stage 1 — rule indexing: the view predicate's index intervals are
     t-locked at creation; a tuple that breaks no t-lock fails implicitly at
@@ -23,3 +22,19 @@ val screen : t -> Tuple.t -> bool
 
 val stage2_tests : t -> int
 (** Number of stage-2 tests performed so far (the [fu] of [C_screen]). *)
+
+val readily_ignorable : reads:int list -> old_tuple:Tuple.t -> new_tuple:Tuple.t -> bool
+(** The readily-ignorable-update test of [Bune79], applied per change: a
+    modification that writes no column in [reads] ({!View_def.sp_reads}:
+    the predicate's and the projected columns) cannot change the view, so it
+    needs neither stage-2 screening nor maintenance.  The paper applies the
+    test per command at compile time; per change is the same test at a finer
+    grain. *)
+
+val screen_change : t -> reads:int list -> Strategy.change -> bool option * bool option
+(** The marks of a change's deleted and inserted images ([None] where the
+    change has no such image): both images are screened, unless
+    {!readily_ignorable} rules the modification out, which marks both
+    [Some false] at no charge.  Used by every engine that screens a change
+    outside a hypothetical relation ([Strategy_sp.immediate], [recompute],
+    [Planner]). *)

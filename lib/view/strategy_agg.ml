@@ -59,19 +59,24 @@ let deferred env =
   in
   let refresh () =
     Strategy.refresh_span (meter env) ~view:env.agg.View_def.a_name @@ fun () ->
-    Cost_meter.with_category (meter env) Cost_meter.Refresh (fun () ->
-        let touched = ref false in
-        Hr.drain hr
-          ~delete:(fun tuple ->
-            Aggregate.delete state tuple;
-            touched := true)
-          ~insert:(fun tuple ->
-            Aggregate.insert state tuple;
-            touched := true);
-        (* No read is needed: the state is about to be read by the query
-           anyway (§3.6); only the write is charged. *)
-        if !touched then Disk.write (disk env) page);
-    Hr.reset hr
+    let net =
+      Cost_meter.with_category (meter env) Cost_meter.Refresh (fun () ->
+          let touched = ref false in
+          let net =
+            Hr.drain hr
+              ~delete:(fun tuple ->
+                Aggregate.delete state tuple;
+                touched := true)
+              ~insert:(fun tuple ->
+                Aggregate.insert state tuple;
+                touched := true)
+          in
+          (* No read is needed: the state is about to be read by the query
+             anyway (§3.6); only the write is charged. *)
+          if !touched then Disk.write (disk env) page;
+          net)
+    in
+    Hr.reset hr net
   in
   let scalar_query () =
     refresh ();

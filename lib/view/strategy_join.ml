@@ -76,15 +76,19 @@ let deferred env =
   in
   let refresh () =
     Strategy.refresh_span m ~view:env.view.j_name @@ fun () ->
-    Cost_meter.with_category m Cost_meter.Refresh (fun () ->
-        (* Pages of R2 read for the delete join stay buffered for the insert
-           join (§3.4.1); both joins complete before the pool is dropped. *)
-        Hr.drain hr
-          ~delete:(fun tuple -> List.iter (Materialized.apply mat Delete) (probe env r2 m tuple))
-          ~insert:(fun tuple -> List.iter (Materialized.apply mat Insert) (probe env r2 m tuple));
-        Buffer_pool.invalidate (Hash_file.pool r2);
-        Materialized.flush mat);
-    Hr.reset hr
+    let net =
+      Cost_meter.with_category m Cost_meter.Refresh (fun () ->
+          (* Pages of R2 read for the delete join stay buffered for the insert
+             join (§3.4.1); both joins complete before the pool is dropped. *)
+          let apply action tuple =
+            List.iter (Materialized.apply mat action) (probe env r2 m tuple)
+          in
+          let net = Hr.drain hr ~delete:(apply Delete) ~insert:(apply Insert) in
+          Buffer_pool.invalidate (Hash_file.pool r2);
+          Materialized.flush mat;
+          net)
+    in
+    Hr.reset hr net
   in
   {
     Strategy.name = "deferred";

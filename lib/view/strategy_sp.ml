@@ -35,33 +35,6 @@ let make_materialized env =
 let make_screen env =
   Screen.create ~meter:(meter env) ~view_name:env.view.sp_name ~pred:env.view.sp_pred ()
 
-(* The readily-ignorable-update test of [Bune79], applied per change: a
-   modification that writes no column the view reads (predicate columns or
-   projected columns) cannot change the view, so it needs neither stage-2
-   screening nor maintenance.  The paper applies the test per command at
-   compile time; per change is the same test at a finer grain.  [reads] is
-   {!view_reads}, computed once per engine. *)
-let view_reads env = Predicate.columns_read env.view.sp_pred @ Array.to_list env.view.sp_positions
-
-let rec writes_no_read reads old_tuple new_tuple i =
-  i >= Tuple.arity old_tuple
-  || ((not (List.mem i reads)) || Value.equal (Tuple.get old_tuple i) (Tuple.get new_tuple i))
-     && writes_no_read reads old_tuple new_tuple (i + 1)
-
-let readily_ignorable reads ~old_tuple ~new_tuple =
-  Tuple.arity old_tuple = Tuple.arity new_tuple && writes_no_read reads old_tuple new_tuple 0
-
-(* Screening of one change: both the deleted and the inserted image are
-   screened (each is an insertion into or deletion from the base relation),
-   unless the RIU test already rules the change out. *)
-let screen_change reads screen (change : Strategy.change) =
-  match (change.before, change.after) with
-  | Some old_tuple, Some new_tuple when readily_ignorable reads ~old_tuple ~new_tuple ->
-      (Some false, Some false)
-  | before, after ->
-      let mark = Option.map (Screen.screen screen) in
-      (mark before, mark after)
-
 let logical_view_of_tuples env tuples =
   Delta.recompute_sp ~tids:(tids env) env.view tuples
 
@@ -115,16 +88,19 @@ let deferred_with_policy_internal ?layout ~policy ~name env =
   in
   let mat = make_materialized env in
   let screen = make_screen env in
-  let reads = view_reads env in
+  let reads = View_def.sp_reads env.view in
   let mark = Screen.screen screen in
   let delete tuple = Materialized.apply mat Delete (sp_output env tuple)
   and insert tuple = Materialized.apply mat Insert (sp_output env tuple) in
   let refresh ?(category = Cost_meter.Refresh) () =
     Strategy.refresh_span m ~view:env.view.sp_name (fun () ->
-        Cost_meter.with_category m category (fun () ->
-            Hr.drain hr ~delete ~insert;
-            Materialized.flush mat);
-        Hr.reset hr;
+        let net =
+          Cost_meter.with_category m category (fun () ->
+              let net = Hr.drain hr ~delete ~insert in
+              Materialized.flush mat;
+              net)
+        in
+        Hr.reset hr net;
         check_refresh_equals_recompute env ~name base mat)
   in
   let txns_since_refresh = ref 0 in
@@ -132,7 +108,8 @@ let deferred_with_policy_internal ?layout ~policy ~name env =
     List.iter
       (fun (change : Strategy.change) ->
         match (change.before, change.after) with
-        | Some old_tuple, Some new_tuple when readily_ignorable reads ~old_tuple ~new_tuple ->
+        | Some old_tuple, Some new_tuple
+          when Screen.readily_ignorable ~reads ~old_tuple ~new_tuple ->
             Hr.apply_ignorable hr ~old_tuple ~new_tuple
         | before, after -> Hr.apply hr ~mark ~before ~after)
       changes;
@@ -231,7 +208,7 @@ let immediate env =
   let base = make_base_btree env in
   let mat = make_materialized env in
   let screen = make_screen env in
-  let reads = view_reads env in
+  let reads = View_def.sp_reads env.view in
   let update_base (change : Strategy.change) =
     Cost_meter.with_category m Cost_meter.Base (fun () ->
         Option.iter
@@ -246,7 +223,7 @@ let immediate env =
     List.iter
       (fun (change : Strategy.change) ->
         update_base change;
-        let marked_old, marked_new = screen_change reads screen change in
+        let marked_old, marked_new = Screen.screen_change screen ~reads change in
         (match (change.before, marked_old) with
         | Some tuple, Some true -> marked_deletes := tuple :: !marked_deletes
         | _ -> ());
@@ -468,7 +445,7 @@ let recompute env =
   let base = make_base_btree env in
   let mat = make_materialized env in
   let screen = make_screen env in
-  let reads = view_reads env in
+  let reads = View_def.sp_reads env.view in
   let dirty = ref false in
   let handle_transaction changes =
     Cost_meter.with_category m Cost_meter.Base (fun () ->
@@ -484,7 +461,7 @@ let recompute env =
         Buffer_pool.invalidate (Btree.pool base));
     List.iter
       (fun change ->
-        let marked_old, marked_new = screen_change reads screen change in
+        let marked_old, marked_new = Screen.screen_change screen ~reads change in
         if marked_old = Some true || marked_new = Some true then dirty := true)
       changes
   in

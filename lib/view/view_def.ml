@@ -35,6 +35,8 @@ let make_sp ~name ~base ~pred ~project ~cluster =
     sp_out_schema = Schema.project base ~name ~column_names:project ~key:cluster;
   }
 
+let sp_reads sp = Predicate.columns_read sp.sp_pred @ Array.to_list sp.sp_positions
+
 let sp_output ~tids sp tuple =
   Tuple.with_tid (Tuple.project tuple sp.sp_positions) (Tuple.next tids)
 

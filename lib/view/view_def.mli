@@ -24,6 +24,10 @@ val make_sp :
 (** @raise Invalid_argument if [cluster] is not among the projected columns
     or the projection names a missing column. *)
 
+val sp_reads : sp -> int list
+(** The base columns the view reads: those its predicate tests, then those
+    it projects (the [reads] of {!Screen.readily_ignorable}). *)
+
 val sp_output : tids:Tuple.source -> sp -> Tuple.t -> Tuple.t
 (** Project a base tuple into view shape (fresh tid from [tids]). *)
 

@@ -237,7 +237,7 @@ let test_hr_split_layout_semantics () =
     (List.filter_map
        (fun t -> if Value.equal (Tuple.get t 0) (Value.Int 1) then Some (Tuple.tid t) else None)
        (Hr.contents_unmetered hr));
-  Hr.reset hr;
+  Hr.reset hr (Hr.net_changes hr);
   Alcotest.(check int) "reset clears both files" 0 (Hr.ad_entry_count hr);
   Alcotest.(check int) "base folded" 2 (Btree.tuple_count base)
 
@@ -566,6 +566,37 @@ let test_planner_charges_set_overhead () =
   Alcotest.(check (float 0.)) "both images marked: 2 C3" 2. immediate;
   Alcotest.(check (float 0.)) "planner charges the A/D sets like immediate" immediate planner
 
+let test_planner_skips_readily_ignorable () =
+  (* a modification of Model 1's note column, which the view neither tests
+     nor projects, to a tuple that is in the view *)
+  let rng = Rng.create 60 in
+  let dataset = Dataset.make_model1 ~rng ~tids:test_tids ~n:300 ~f:0.5 ~s_bytes:100 in
+  let note_col = 3 in
+  let old_tuple = List.find (Predicate.eval dataset.m1_view.sp_pred) dataset.m1_tuples in
+  let new_tuple =
+    Tuple.with_tid (Tuple.set old_tuple note_col (Value.Str "riu")) (Tuple.next test_tids)
+  in
+  let txn = [ Strategy.modify ~old_tuple ~new_tuple ] in
+  let costs ctx handle_transaction =
+    Cost_meter.reset (Ctx.meter ctx);
+    handle_transaction txn;
+    List.map (Cost_meter.cost (Ctx.meter ctx)) Cost_meter.[ Screen; Overhead; Refresh ]
+  in
+  let immediate =
+    let ctx = fresh_ctx () in
+    costs ctx (Strategy_sp.immediate (sp_env dataset ctx)).Strategy.handle_transaction
+  in
+  let planner =
+    let ctx = fresh_ctx () in
+    costs ctx
+      (Planner.handle_transaction
+         (Planner.create ~ctx ~view:dataset.m1_view ~base_cluster:"amount"
+            ~initial:dataset.m1_tuples ()))
+  in
+  Alcotest.(check (list (float 0.))) "immediate: no screen, overhead or refresh" [ 0.; 0.; 0. ]
+    immediate;
+  Alcotest.(check (list (float 0.))) "planner charges like immediate" immediate planner
+
 let test_planner_chosen_route_costs_less () =
   (* for a narrow range on the view's clustering column, the view route
      really is cheaper than forcing the base route, and vice versa *)
@@ -833,6 +864,8 @@ let suites =
         Alcotest.test_case "routes agree" `Quick test_planner_routes_agree;
         Alcotest.test_case "after updates" `Quick test_planner_after_updates;
         Alcotest.test_case "C3 per A/D set entry" `Quick test_planner_charges_set_overhead;
+        Alcotest.test_case "readily-ignorable update costs nothing" `Quick
+          test_planner_skips_readily_ignorable;
         Alcotest.test_case "chosen route measurably cheaper" `Quick
           test_planner_chosen_route_costs_less;
       ] );

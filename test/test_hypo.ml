@@ -112,7 +112,7 @@ let test_reset_folds_into_base () =
     ~marked_new:true;
   Hr.apply_insert hr (tuple ~tid:102 2 0.7 5.) ~marked:false;
   Hr.end_transaction hr;
-  Hr.reset hr;
+  Hr.reset hr (Hr.net_changes hr);
   Alcotest.(check int) "AD empty" 0 (Hr.ad_entry_count hr);
   let base_tuples = ref [] in
   Btree.iter_unmetered (Hr.base hr) (fun t -> base_tuples := t :: !base_tuples);
@@ -177,9 +177,217 @@ let prop_reset_preserves_contents =
         updates;
       Hr.end_transaction hr;
       let before = List.sort Int.compare (List.map Tuple.tid (Hr.contents_unmetered hr)) in
-      Hr.reset hr;
+      Hr.reset hr (Hr.net_changes hr);
       let after = List.sort Int.compare (List.map Tuple.tid (Hr.contents_unmetered hr)) in
       before = after && Hr.ad_entry_count hr = 0)
+
+(* One refresh reads each AD page once through the pool: the fold-in takes
+   the sets the drain read instead of scanning AD again. *)
+let test_refresh_reads_ad_once () =
+  let initial = List.init 6 (fun i -> tuple ~tid:(200 + i) i (float_of_int i /. 10.) 0.) in
+  let _, disk, hr = make_hr ~initial () in
+  List.iteri
+    (fun i old_tuple ->
+      Hr.apply_update hr ~old_tuple
+        ~new_tuple:(tuple ~tid:(300 + i) i (float_of_int i /. 10.) 1.)
+        ~marked_old:true ~marked_new:true)
+    initial;
+  Hr.end_transaction hr;
+  let pages = Hr.ad_page_count hr in
+  let base_pool = Btree.pool (Hr.base hr) in
+  (* page touches of every pool on the disk but the base's: AD's *)
+  let ad_touches () =
+    Disk.pool_hits disk + Disk.pool_misses disk - Buffer_pool.hits base_pool
+    - Buffer_pool.misses base_pool
+  in
+  let before = ad_touches () in
+  let net = Hr.drain hr ~delete:ignore ~insert:ignore in
+  Hr.reset hr net;
+  Alcotest.(check bool) "AD spans several pages" true (pages > 1);
+  Alcotest.(check int) "hits + misses = AD pages" pages (ad_touches () - before);
+  Alcotest.(check int) "folded" 6 (Btree.tuple_count (Hr.base hr))
+
+let test_reset_refuses_stale_net () =
+  let t0 = tuple ~tid:400 1 0.5 10. in
+  let _, _, hr = make_hr ~initial:[ t0 ] () in
+  let net = Hr.net_changes hr in
+  Hr.apply_delete hr t0 ~marked:true;
+  match Hr.reset hr net with
+  | exception Invalid_argument _ -> Alcotest.(check int) "AD kept" 1 (Hr.ad_entry_count hr)
+  | () -> Alcotest.fail "a stale net was folded"
+
+(* The string-keyed cancellation [Hr] used before identities were matched by
+   original tid and cells, kept as the reference: an entry's identity is the
+   rendering of its cells plus its original tid. *)
+module Reference = struct
+  let identity_key tuple = Tuple.value_key tuple ^ "#" ^ string_of_int (Tuple.tid tuple)
+
+  type pairs = {
+    halves : (bool * string, int) Hashtbl.t;
+    joined : (int, int) Hashtbl.t;
+    mutable reached : (int * bool) list;
+  }
+
+  let rec pair_root p pair =
+    match Hashtbl.find_opt p.joined pair with Some up -> pair_root p up | None -> pair
+
+  let note_cancelled p key ~a_marked ~d_marked =
+    match (Hashtbl.find_opt p.halves (true, key), Hashtbl.find_opt p.halves (false, key)) with
+    | Some pa, Some pd ->
+        let ra = pair_root p pa and rd = pair_root p pd in
+        if ra <> rd then Hashtbl.replace p.joined ra rd
+    | Some pa, None -> p.reached <- (pa, d_marked) :: p.reached
+    | None, Some pd -> p.reached <- (pd, a_marked) :: p.reached
+    | None, None -> ()
+
+  let settle p =
+    let marks = Hashtbl.create 16 in
+    List.iter (fun (pair, marked) -> Hashtbl.replace marks (pair_root p pair) marked) p.reached;
+    fun appended ((tuple, _) as entry) ->
+      match Hashtbl.find_opt p.halves (appended, identity_key tuple) with
+      | None -> entry
+      | Some pair ->
+          (tuple, Option.value ~default:false (Hashtbl.find_opt marks (pair_root p pair)))
+
+  let by_tid (t1, _) (t2, _) = Int.compare (Tuple.tid t1) (Tuple.tid t2)
+
+  let cancel_pairs ?pairs (a, d) =
+    let deleted = Hashtbl.create (List.length d) in
+    List.iter (fun (tuple, marked) -> Hashtbl.add deleted (identity_key tuple) (tuple, marked)) d;
+    let a_net =
+      List.filter
+        (fun (tuple, a_marked) ->
+          let key = identity_key tuple in
+          match Hashtbl.find_opt deleted key with
+          | None -> true
+          | Some (_, d_marked) ->
+              Hashtbl.remove deleted key;
+              (match pairs with
+              | Some p -> note_cancelled p key ~a_marked ~d_marked
+              | None -> ());
+              false)
+        a
+    in
+    match pairs with
+    | None ->
+        ( List.sort by_tid a_net,
+          List.sort by_tid (Hashtbl.fold (fun _ entry acc -> entry :: acc) deleted []) )
+    | Some p ->
+        let settle = settle p in
+        ( List.sort by_tid (List.map (settle true) a_net),
+          List.sort by_tid
+            (Hashtbl.fold (fun _ entry acc -> settle false entry :: acc) deleted []) )
+
+  (* [entries] in scan order: (appended?, tuple with its original tid, and
+     either a screening result or a readily-ignorable pair id). *)
+  let net_changes entries =
+    let a = ref [] and d = ref [] in
+    let pairs = lazy { halves = Hashtbl.create 16; joined = Hashtbl.create 16; reached = [] } in
+    List.iter
+      (fun (appended, tuple, marker) ->
+        let marked =
+          match marker with
+          | `Mark m -> m
+          | `Pair pair ->
+              Hashtbl.replace (Lazy.force pairs).halves (appended, identity_key tuple) pair;
+              false
+        in
+        if appended then a := (tuple, marked) :: !a else d := (tuple, marked) :: !d)
+      entries;
+    cancel_pairs
+      ?pairs:(if Lazy.is_val pairs then Some (Lazy.force pairs) else None)
+      (List.rev !a, List.rev !d)
+end
+
+(* The scan order of a one-bucket AD file: its pages in chain order, each
+   newest entry first. *)
+let scan_order ~tuples_per_page written =
+  let rec pages acc page n = function
+    | [] -> List.rev (if page = [] then acc else page :: acc)
+    | entry :: rest ->
+        if n = tuples_per_page then pages (page :: acc) [ entry ] 1 rest
+        else pages acc (entry :: page) (n + 1) rest
+  in
+  List.concat (pages [] [] 0 written)
+
+(* Property: cancellation by original tid and cells gives exactly the sets,
+   order and marks of the string-keyed reference.  Histories run over a
+   small pool of tids and cell values, so identities recur: appends cancel
+   deletes, a tid gets several entries, and readily-ignorable pairs chain
+   through one another and through screened changes. *)
+let prop_net_changes_match_reference =
+  let cell =
+    QCheck.Gen.(
+      oneof
+        [
+          map (fun i -> Value.Int i) (int_range 0 2);
+          map (fun i -> Value.Float (float_of_int i)) (int_range 0 2);
+          map (fun s -> Value.Str s) (oneofl [ ""; "a"; "b"; "ab" ]);
+        ])
+  in
+  let cells = QCheck.Gen.(pair cell cell) in
+  let op =
+    QCheck.Gen.(
+      quad (int_range 0 3) (pair (int_range 0 5) (int_range 0 5)) cells (pair bool bool))
+  in
+  let gen =
+    QCheck.Gen.(
+      triple (int_range 1 5) (list_repeat 3 cells) (list_size (int_range 0 40) op))
+  in
+  QCheck.Test.make ~name:"net changes = string-keyed reference" ~count:300 (QCheck.make gen)
+    (fun (tuples_per_page, initial_cells, ops) ->
+      let schema =
+        Schema.make ~name:"P"
+          ~columns:Schema.[ { name = "k"; ty = T_int }; { name = "x"; ty = T_float } ]
+          ~tuple_bytes:100 ~key:"k"
+      in
+      let make tid (k, x) = Tuple.make ~tid [| k; x |] in
+      let disk = Disk.create (Cost_meter.create ()) in
+      let base = Btree.create ~disk ~name:"P" ~fanout:4 ~leaf_capacity:4 ~key_col:0 () in
+      let initial = List.mapi make initial_cells in
+      Btree.bulk_load base initial;
+      let tids = Tuple.source ~first:1000 () in
+      let hr = Hr.create ~disk ~tids ~base ~schema ~ad_buckets:1 ~tuples_per_page () in
+      let visible = Hashtbl.create 8 in
+      List.iter (fun tuple -> Hashtbl.replace visible (Tuple.tid tuple) tuple) initial;
+      let written = ref [] in
+      let write entry = written := entry :: !written in
+      List.iter
+        (fun (kind, (tid, tid'), cells, (m1, m2)) ->
+          match (kind, Hashtbl.find_opt visible tid) with
+          | 0, None ->
+              let tuple = make tid cells in
+              Hr.apply_insert hr tuple ~marked:m1;
+              write (true, tuple, `Mark m1);
+              Hashtbl.replace visible tid tuple
+          | 1, Some tuple ->
+              Hr.apply_delete hr tuple ~marked:m1;
+              write (false, tuple, `Mark m1);
+              Hashtbl.remove visible tid
+          | (2 | 3), Some old_tuple when tid' = tid || not (Hashtbl.mem visible tid') ->
+              let new_tuple = make tid' cells in
+              let old_marker, new_marker =
+                if kind = 2 then begin
+                  Hr.apply_update hr ~old_tuple ~new_tuple ~marked_old:m1 ~marked_new:m2;
+                  (`Mark m1, `Mark m2)
+                end
+                else begin
+                  let pair = Tuple.peek tids in
+                  Hr.apply_ignorable hr ~old_tuple ~new_tuple;
+                  (`Pair pair, `Pair pair)
+                end
+              in
+              write (false, old_tuple, old_marker);
+              write (true, new_tuple, new_marker);
+              Hashtbl.remove visible tid;
+              Hashtbl.replace visible tid' new_tuple
+          | _ -> ())
+        ops;
+      Hr.end_transaction hr;
+      let expected = Reference.net_changes (scan_order ~tuples_per_page (List.rev !written)) in
+      let same = List.equal (fun (t1, m1) (t2, m2) -> Tuple.equal t1 t2 && m1 = m2) in
+      let a_net, d_net = Hr.net_changes_unmetered hr in
+      same a_net (fst expected) && same d_net (snd expected))
 
 let qcheck = List.map QCheck_alcotest.to_alcotest
 
@@ -195,6 +403,13 @@ let suites =
         Alcotest.test_case "AD recharged across txns" `Quick
           test_ad_page_recharged_across_transactions;
         Alcotest.test_case "reset folds into base" `Quick test_reset_folds_into_base;
+        Alcotest.test_case "refresh reads AD once" `Quick test_refresh_reads_ad_once;
+        Alcotest.test_case "reset refuses a stale net" `Quick test_reset_refuses_stale_net;
       ]
-      @ qcheck [ prop_hr_equals_log_replay; prop_reset_preserves_contents ] );
+      @ qcheck
+          [
+            prop_hr_equals_log_replay;
+            prop_reset_preserves_contents;
+            prop_net_changes_match_reference;
+          ] );
   ]

@@ -190,6 +190,100 @@ let prop_btree_model =
       Btree.iter_unmetered t (fun tu -> actual := Value.as_int (key_col0 tu) :: !actual);
       List.sort Int.compare expected = List.sort Int.compare !actual)
 
+(* Model-based qcheck over deep trees: at fanout 3 and two rows per leaf,
+   hundreds of operations grow the tree to depth >= 3 with cascading internal
+   splits.  Inserts, removes and in-place updates must track a reference map,
+   each reading exactly one page per level (from a cold pool), and random
+   ranges must return the model's rows in (key, tid) order. *)
+let prop_btree_descents =
+  let op =
+    QCheck.Gen.(
+      pair (frequencyl [ (5, `Insert); (2, `Remove); (2, `Update); (1, `Range) ])
+        (pair (int_range 0 60) (int_range 0 1000)))
+  in
+  QCheck.Test.make ~name:"btree descents match reference model" ~count:25
+    (QCheck.make QCheck.Gen.(list_size (int_range 400 600) op))
+    (fun ops ->
+      let _, t = btree ~fanout:3 ~leaf_capacity:2 () in
+      let model = Hashtbl.create 256 in  (* tid -> (key, payload) *)
+      let next = ref 0 in
+      let pool = Btree.pool t in
+      (* Logical page reads of [f ()] from a cold pool. *)
+      let reads f =
+        Buffer_pool.invalidate pool;
+        let before = Buffer_pool.hits pool + Buffer_pool.misses pool in
+        let result = f () in
+        (result, Buffer_pool.hits pool + Buffer_pool.misses pool - before)
+      in
+      let one_per_level what h n =
+        if n <> h + 1 then QCheck.Test.fail_reportf "%s read %d pages at height %d" what n h
+      in
+      let entries () =
+        List.sort compare
+          (Hashtbl.fold (fun tid (key, payload) acc -> (key, tid, payload) :: acc) model [])
+      in
+      let pick n =
+        match entries () with
+        | [] -> None
+        | all -> Some (List.nth all (n mod List.length all))
+      in
+      List.iter
+        (fun (kind, (key, n)) ->
+          let h = Btree.height t in
+          match kind with
+          | `Insert ->
+              incr next;
+              let payload = "p" ^ string_of_int !next in
+              let (), r = reads (fun () -> Btree.insert t (tuple ~tid:!next key payload)) in
+              one_per_level "insert" h r;
+              Hashtbl.replace model !next (key, payload)
+          | `Remove -> (
+              match pick n with
+              | Some (key, tid, _) when n mod 4 <> 0 ->
+                  let removed, r = reads (fun () -> Btree.remove t ~key:(Value.Int key) ~tid) in
+                  if not removed then QCheck.Test.fail_report "remove of present entry failed";
+                  one_per_level "remove" h r;
+                  Hashtbl.remove model tid
+              | _ ->
+                  let removed, r =
+                    reads (fun () -> Btree.remove t ~key:(Value.Int key) ~tid:(-1))
+                  in
+                  if removed then QCheck.Test.fail_report "remove of absent entry succeeded";
+                  one_per_level "absent remove" h r)
+          | `Update -> (
+              match pick n with
+              | None -> ()
+              | Some (key, tid, _) ->
+                  let payload = "u" ^ string_of_int n in
+                  let updated, r =
+                    reads (fun () ->
+                        Btree.update_in_place t ~key:(Value.Int key) ~tid (fun tu ->
+                            Tuple.set tu 1 (Value.Str payload)))
+                  in
+                  if not updated then QCheck.Test.fail_report "update of present entry failed";
+                  one_per_level "update" h r;
+                  Hashtbl.replace model tid (key, payload))
+          | `Range ->
+              let lo = key and hi = key + (n mod 20) - 5 in
+              let actual =
+                Btree.range_rows t ~lo:(Value.Int lo) ~hi:(Value.Int hi) (fun v ->
+                    ( Value.as_int (Tuple_view.get v 0),
+                      Tuple_view.tid v,
+                      match Tuple_view.get v 1 with Value.Str p -> p | _ -> "?" ))
+              in
+              let expected = List.filter (fun (k, _, _) -> lo <= k && k <= hi) (entries ()) in
+              if actual <> expected then
+                QCheck.Test.fail_reportf "range [%d, %d]: %d rows, model %d" lo hi
+                  (List.length actual) (List.length expected))
+        ops;
+      Btree.check_invariants t;
+      if Btree.height t < 3 then QCheck.Test.fail_reportf "height %d < 3" (Btree.height t);
+      let actual = ref [] in
+      Btree.iter_unmetered t (fun tu ->
+          let row = (Value.as_int (key_col0 tu), Tuple.tid tu, Value.to_string (Tuple.get tu 1)) in
+          actual := row :: !actual);
+      List.rev !actual = entries ())
+
 let prop_bulk_load_equals_inserts =
   QCheck.Test.make ~name:"bulk load = incremental inserts" ~count:60
     (QCheck.list_of_size (QCheck.Gen.int_range 0 150) (QCheck.int_range 0 40))
@@ -345,7 +439,7 @@ let suites =
         Alcotest.test_case "bulk load empty" `Quick test_btree_bulk_load_empty;
         Alcotest.test_case "insertion orders" `Quick test_btree_reverse_and_random_order;
       ]
-      @ qcheck [ prop_btree_model; prop_bulk_load_equals_inserts ] );
+      @ qcheck [ prop_btree_model; prop_btree_descents; prop_bulk_load_equals_inserts ] );
     ( "index.hash",
       [
         Alcotest.test_case "insert/lookup" `Quick test_hash_insert_lookup;

@@ -290,7 +290,7 @@ let test_hr_soak () =
         end);
     Hr.end_transaction hr;
     if round mod 100 = 0 then begin
-      Hr.reset hr;
+      Hr.reset hr (Hr.net_changes hr);
       let expected =
         List.sort Int.compare (Hashtbl.fold (fun _ t acc -> Tuple.tid t :: acc) reference [])
       in
