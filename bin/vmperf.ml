@@ -122,13 +122,6 @@ let costs_cmd =
   Cmd.v (Cmd.info "costs" ~doc:"Analytic cost of every strategy at one parameter point.")
     Term.(const run $ model_term $ params_term)
 
-let scale_term =
-  Arg.(
-    value
-    & opt float 0.1
-    & info [ "scale" ] ~docv:"FLOAT"
-        ~doc:"Shrink the relation to SCALE * N tuples for the simulation.")
-
 let seed_term =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"INT" ~doc:"Workload RNG seed.")
 
@@ -159,6 +152,15 @@ let float_conv ~ok ~hint =
 
 let unit_float = float_conv ~ok:(fun x -> x >= 0. && x <= 1.) ~hint:"0 <= X <= 1"
 let nonneg_float = float_conv ~ok:(fun x -> x >= 0.) ~hint:"X >= 0"
+
+(* A usage error for a factor outside (0, 1] (NaN and the infinities
+   included), before anything is built from it. *)
+let scale_term =
+  Arg.(
+    value
+    & opt (float_conv ~ok:(fun x -> x > 0. && x <= 1.) ~hint:"0 < X <= 1") 0.1
+    & info [ "scale" ] ~docv:"FLOAT"
+        ~doc:"Shrink the relation to SCALE * N tuples for the simulation.")
 
 (* ------------------------------------------------------------------ *)
 (* Observability flags (simulate / adapt / top)                        *)
@@ -1308,12 +1310,14 @@ let crash_test_cmd =
       $ checkpoint_every_term $ strategy_term $ crash_at_term $ dir_term $ out_term)
 
 let recover_cmd =
+  (* The directory must exist: recovering a directory that is not there
+     would create it and re-drive the whole workload from nothing. *)
   let dir_term =
     Arg.(
       required
-      & opt (some string) None
+      & opt (some dir) None
       & info [ "dir" ] ~docv:"DIR"
-          ~doc:"Device directory holding the log segments and checkpoint images.")
+          ~doc:"Existing device directory holding the log segments and checkpoint images.")
   in
   let strategy_term =
     Arg.(

@@ -1,7 +1,8 @@
 (** Public facade of the view-materialization library.
 
     The layers, bottom-up:
-    - {!Yao}, {!Rng} — analytic and probabilistic primitives;
+    - {!Yao}, {!Rng} — analytic and probabilistic primitives; {!Int_sort},
+      the integer sort checkpoint images order their tids with;
     - {!Value}, {!Schema}, {!Tuple}, {!Flat}, {!Tuple_view}, {!Disk},
       {!Buffer_pool}, {!Cost_meter}, {!Heap_file}, {!Ctx} — the simulated
       storage engine (page-resident flat rows with zero-copy cursors,
@@ -48,6 +49,7 @@ module Rng = Vmat_util.Rng
 module Stats = Vmat_util.Stats
 module Table = Vmat_util.Table
 module Ascii_plot = Vmat_util.Ascii_plot
+module Int_sort = Vmat_util.Int_sort
 module Span = Vmat_obs.Span
 module Trace = Vmat_obs.Trace
 module Metrics = Vmat_obs.Metrics

@@ -69,7 +69,7 @@ let crc32 s =
 
 type writer = Buffer.t
 
-let writer () = Buffer.create 256
+let writer ?(size = 256) () = Buffer.create size
 let contents w = Buffer.contents w
 
 let u8 w n =
@@ -206,6 +206,16 @@ let r_value r : Value.t =
 let tuple w (t : Tuple.t) =
   i64 w (Tuple.tid t);
   array w value (Tuple.values t)
+
+let value_size (v : Value.t) =
+  match v with
+  | Value.Null -> 1
+  | Value.Bool _ -> 2
+  | Value.Int _ | Value.Float _ -> 9
+  | Value.Str s -> 5 + String.length s
+
+let tuple_size (t : Tuple.t) =
+  Array.fold_left (fun n v -> n + value_size v) 12 (Tuple.values t)
 
 let r_tuple r : Tuple.t =
   let tid = r_i64 r in

@@ -18,7 +18,10 @@ type writer = Buffer.t
 (** A plain buffer, so a caller can frame records straight into a buffer it
     already owns (the log writer's pending bytes). *)
 
-val writer : unit -> writer
+val writer : ?size:int -> unit -> writer
+(** An empty writer with room for [size] bytes (default 256) before it
+    grows. *)
+
 val contents : writer -> string
 val u8 : writer -> int -> unit
 val u32 : writer -> int -> unit
@@ -54,6 +57,10 @@ val r_array : reader -> (reader -> 'a) -> 'a array
 val value : writer -> Value.t -> unit
 val r_value : reader -> Value.t
 val tuple : writer -> Tuple.t -> unit
+
+val tuple_size : Tuple.t -> int
+(** The number of bytes {!tuple} writes for it. *)
+
 val r_tuple : reader -> Tuple.t
 val column_type : writer -> Schema.column_type -> unit
 val r_column_type : reader -> Schema.column_type

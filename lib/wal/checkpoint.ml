@@ -93,19 +93,6 @@ let[@tail_mod_cons] rec patch_of_lists removed added =
 
 let patch_of_delta d = patch_of_lists d.cd_removed d.cd_added
 
-let delta_of_patch ~id ~parent ~op_index ~next_txn_id ~strategy ~adaptive (patch : patch) =
-  {
-    cd_id = id;
-    cd_parent = parent;
-    cd_op_index = op_index;
-    cd_next_txn_id = next_txn_id;
-    cd_strategy = strategy;
-    cd_adaptive = adaptive;
-    cd_removed =
-      List.filter_map (fun (tid, c) -> if Option.is_none c then Some tid else None) patch;
-    cd_added = List.filter_map snd patch;
-  }
-
 type chain = {
   ch_full_id : int;
   ch_delta_ids : int list;
@@ -165,8 +152,8 @@ let r_pair r =
   let v = Codec.r_str r in
   (k, v)
 
-let encode im =
-  let w = Codec.writer () in
+let encode ?capacity im =
+  let w = Codec.writer ?size:capacity () in
   Codec.i64 w im.ck_id;
   Codec.i64 w im.ck_op_index;
   Codec.i64 w im.ck_next_txn_id;
@@ -202,8 +189,20 @@ let decode payload =
     ck_adaptive;
   }
 
+(* Sized from its counts, so the writer never grows: 48 bytes of fixed
+   fields and list lengths, the strategy and adaptive strings, 8 bytes per
+   removed tid and each added tuple's encoded length. *)
+let delta_size d =
+  List.fold_left
+    (fun n tuple -> n + Codec.tuple_size tuple)
+    (List.fold_left
+       (fun n (k, v) -> n + 8 + String.length k + String.length v)
+       (48 + String.length d.cd_strategy + (8 * List.length d.cd_removed))
+       d.cd_adaptive)
+    d.cd_added
+
 let encode_delta d =
-  let w = Codec.writer () in
+  let w = Codec.writer ~size:(delta_size d) () in
   Codec.i64 w d.cd_id;
   Codec.i64 w d.cd_parent;
   Codec.i64 w d.cd_op_index;
@@ -259,7 +258,7 @@ let framed magic payload =
   Codec.add_frame w payload;
   Buffer.contents w
 
-let to_bytes im = framed magic (encode im)
+let to_bytes ?capacity im = framed magic (encode ?capacity im)
 let delta_to_bytes d = framed delta_magic (encode_delta d)
 
 let of_bytes data =

@@ -55,15 +55,9 @@ type patch = (int * Tuple.t option) list
 val apply : Tuple.t list -> patch -> Tuple.t list
 (** One linear merge of a tid-ascending base with a patch. *)
 
-val delta_of_patch :
-  id:int ->
-  parent:int ->
-  op_index:int ->
-  next_txn_id:int ->
-  strategy:string ->
-  adaptive:(string * string) list ->
-  patch ->
-  delta
+val patch_of_lists : int list -> Tuple.t list -> patch
+(** The patch of a delta's removed tids and added tuples (both ascending
+    and disjoint). *)
 
 type chain = {
   ch_full_id : int;  (** the full image the chain starts at *)
@@ -82,12 +76,16 @@ val file_name : int -> string
 val file_id : string -> int option
 val image_files : Device.t -> (int * string) list
 
-val encode : image -> string
+val encode : ?capacity:int -> image -> string
+(** [capacity] sizes the writer up front (default 256 bytes). *)
+
 val decode : string -> image
 (** @raise Codec.Corrupt *)
 
 val encode_delta : delta -> string
-val to_bytes : image -> string
+(** Sized up front from the delta's counts. *)
+
+val to_bytes : ?capacity:int -> image -> string
 val delta_to_bytes : delta -> string
 
 val of_bytes : string -> (file, string) result

@@ -9,19 +9,22 @@
    the bench figures report.
 
    The wrapper keeps an uncharged catalog of the net base contents (tid →
-   tuple), maintained from the change stream it already sees.  A full
-   checkpoint image snapshots that catalog plus whatever the optional probe
-   exposes of the inner strategy's state (net A/D sets, adaptive kind); a
-   delta image holds only the net base changes since the previous image,
-   folded from the change lists committed since then.  The wrapper writes a
-   fresh full image once the deltas chained to the last one would cost more
-   pages than it did (DESIGN §9.3). *)
+   tuple), maintained from the change stream it already sees, and records
+   every tid a change touches since the last image.  A full checkpoint image
+   snapshots that catalog (its tids sorted as plain ints) plus whatever the
+   optional probe exposes of the inner strategy's state (net A/D sets,
+   adaptive kind); a delta image holds only the net base changes since the
+   previous image, read from the catalog at the touched tids, so it costs
+   what changed, not the base.  The wrapper writes a fresh full image once
+   the deltas chained to the last one would cost more pages than it did
+   (DESIGN §9.3). *)
 
 open Vmat_storage
 module Strategy = Vmat_view.Strategy
 module Bag = Vmat_relalg.Bag
 module Hr = Vmat_hypo.Hr
 module Recorder = Vmat_obs.Recorder
+module Int_sort = Vmat_util.Int_sort
 
 type probe = {
   p_ad : unit -> (Tuple.t * bool) list * (Tuple.t * bool) list;
@@ -44,20 +47,42 @@ let hr_probe hr =
 (* The image chain the wrapper is extending. *)
 type tip = {
   tip_id : int;  (* newest image written *)
-  full_pages : int;  (* pages of the chain's full image *)
+  full_bytes : int;  (* length of the chain's full image *)
   delta_pages : int;  (* pages of the deltas written on it since *)
 }
+
+(* The catalog's table: tids come from a monotonic source, so the identity
+   hash spreads them evenly over the buckets. *)
+module Tids = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash tid = tid land max_int
+end)
+
+(* Tids in change order, repeats kept: the tids changes have touched. *)
+type touched = { mutable tids : int array; mutable n : int }
+
+let touched () = { tids = Array.make 64 0; n = 0 }
+
+let touch tb tid =
+  if tb.n = Array.length tb.tids then begin
+    let grown = Array.make (2 * tb.n) 0 in
+    Array.blit tb.tids 0 grown 0 tb.n;
+    tb.tids <- grown
+  end;
+  tb.tids.(tb.n) <- tid;
+  tb.n <- tb.n + 1
 
 type t = {
   ctx : Ctx.t;
   wal : Wal.t;
   inner : Strategy.t;
   probe : probe;
-  catalog : (int, Tuple.t) Hashtbl.t;
+  catalog : Tuple.t Tids.t;
+  touched : touched;  (* since the last image *)
   mutable op_index : int;
   mutable txns_since_ckpt : int;
-  mutable since_image : Strategy.change list list;
-      (* committed since the last image, newest first *)
   mutable tip : tip option;
       (* None until the wrapper's first image, which is always full, so a
          chain never hangs off an image written before a restart *)
@@ -69,56 +94,83 @@ type t = {
    continuing engine's base through {!replay_base}, so the wrapper and the
    recovery path share one implementation of it. *)
 let catalog_of tuples =
-  let catalog = Hashtbl.create (max 16 (List.length tuples)) in
-  List.iter (fun tuple -> Hashtbl.replace catalog (Tuple.tid tuple) tuple) tuples;
+  let catalog = Tids.create (max 16 (List.length tuples)) in
+  List.iter (fun tuple -> Tids.replace catalog (Tuple.tid tuple) tuple) tuples;
   catalog
 
-let apply_catalog catalog (changes : Strategy.change list) =
+(* Applies [changes] in order and records in [touched] every tid they touch,
+   before and after images alike. *)
+let apply_catalog catalog touched (changes : Strategy.change list) =
   List.iter
     (fun (c : Strategy.change) ->
       (match c.Strategy.before with
-      | Some old_tuple -> Hashtbl.remove catalog (Tuple.tid old_tuple)
+      | Some old_tuple ->
+          let tid = Tuple.tid old_tuple in
+          Tids.remove catalog tid;
+          touch touched tid
       | None -> ());
       match c.Strategy.after with
-      | Some new_tuple -> Hashtbl.replace catalog (Tuple.tid new_tuple) new_tuple
+      | Some new_tuple ->
+          let tid = Tuple.tid new_tuple in
+          Tids.replace catalog tid new_tuple;
+          touch touched tid
       | None -> ())
     changes
 
-let by_tid a b = Int.compare (Tuple.tid a) (Tuple.tid b)
-
-(* Canonical (ascending-tid) contents; the fold is under the sort so hash
-   order never escapes (vmlint D3). *)
+(* Canonical (ascending-tid) contents.  The fold fills an array that is
+   sorted before anything reads it, so hash order never escapes (vmlint
+   D3).  Sorting the plain tids and then looking each tuple up spares the
+   sort a closure call and two tuple loads per comparison. *)
 let sorted_catalog catalog =
-  List.sort by_tid (Hashtbl.fold (fun _ tuple acc -> tuple :: acc) catalog [])
+  let tids = Array.make (Tids.length catalog) 0 in
+  let n =
+    Tids.fold
+      (fun tid _ i ->
+        tids.(i) <- tid;
+        i + 1)
+      catalog 0
+  in
+  Int_sort.sort tids n;
+  let rows = ref [] in
+  for i = n - 1 downto 0 do
+    rows := Tids.find catalog tids.(i) :: !rows
+  done;
+  !rows
 
-(* The net effect of [txns] (oldest first) on the tids they touch, with
-   {!apply_catalog}'s semantics: a removed tid ends [None], an added one
-   [Some] its last tuple.  Work is proportional to the changes, not the
-   base; the fold is under the sort (vmlint D3). *)
-let net_patch txns : Checkpoint.patch =
-  let last = Hashtbl.create 64 in
-  List.iter
-    (List.iter (fun (c : Strategy.change) ->
-         Option.iter
-           (fun old_tuple -> Hashtbl.replace last (Tuple.tid old_tuple) None)
-           c.Strategy.before;
-         Option.iter
-           (fun new_tuple -> Hashtbl.replace last (Tuple.tid new_tuple) (Some new_tuple))
-           c.Strategy.after))
-    txns;
-  List.sort
-    (fun (a, _) (b, _) -> Int.compare a b)
-    (Hashtbl.fold (fun tid change acc -> (tid, change) :: acc) last [])
+(* The net effect on [catalog] of the changes whose tids [touched] holds:
+   the touched tids the catalog lacks and the tuples it holds at the others,
+   both ascending.  The catalog keeps each tid's last change and lacks the
+   tid when that change removed it, so this is what folding the change
+   lists in commit order would give, at the cost of one integer sort of the
+   touched tids and one lookup per distinct tid.  Sorts [touched] in
+   place. *)
+let net_of catalog touched =
+  let tids = touched.tids and n = touched.n in
+  Int_sort.sort tids n;
+  let removed = ref [] and added = ref [] in
+  for i = n - 1 downto 0 do
+    let tid = tids.(i) in
+    if i = n - 1 || tids.(i + 1) <> tid then
+      match Tids.find_opt catalog tid with
+      | Some tuple -> added := tuple :: !added
+      | None -> removed := tid :: !removed
+  done;
+  (!removed, !added)
 
 let rec tid_ascending = function
   | a :: (b :: _ as rest) -> Tuple.tid a < Tuple.tid b && tid_ascending rest
   | [] | [ _ ] -> true
 
-(* One merge of the base with the transactions' net patch; a base that is
-   not already strictly tid-ascending goes through the catalog first. *)
+(* One merge of the base with the transactions' net changes, read from a
+   catalog that starts empty: there a tid is absent exactly when its last
+   change removed it.  A base that is not already strictly tid-ascending
+   goes through the catalog first. *)
 let replay_base initial txns =
   let base = if tid_ascending initial then initial else sorted_catalog (catalog_of initial) in
-  Checkpoint.apply base (net_patch txns)
+  let last = Tids.create 64 and tb = touched () in
+  List.iter (apply_catalog last tb) txns;
+  let removed, added = net_of last tb in
+  Checkpoint.apply base (Checkpoint.patch_of_lists removed added)
 
 let wrap ?(config = Wal.default_config) ?(probe = null_probe) ?(op_index = 0)
     ?next_txn_id ~ctx ~dev ~initial inner =
@@ -132,9 +184,9 @@ let wrap ?(config = Wal.default_config) ?(probe = null_probe) ?(op_index = 0)
     inner;
     probe;
     catalog;
+    touched = touched ();
     op_index;
     txns_since_ckpt = 0;
-    since_image = [];
     tip = None;
     next_ckpt_id;
     checkpoints_taken = 0;
@@ -174,27 +226,37 @@ let full_image t ~id ~adaptive =
 (* The next image's bytes, its kind, and the chain tip after writing it.
    A delta is encoded first; it is written unless the chain's delta pages
    plus its own would exceed the full image's pages (Hanson's trade, in
-   pages: recovery reads the full image and every delta on it). *)
+   pages: recovery reads the full image and every delta on it).  A full
+   image's writer starts at the last full image's length plus an eighth,
+   so a base that grew a little does not double a megabyte buffer. *)
 let next_image t ~id =
   let adaptive =
     List.sort (fun (a, _) (b, _) -> String.compare a b) (t.probe.p_adaptive ())
   in
   let full () =
-    let data = Checkpoint.to_bytes (full_image t ~id ~adaptive) in
-    let full_pages = Wal.pages t.wal (String.length data) in
-    (data, "full", { tip_id = id; full_pages; delta_pages = 0 })
+    let capacity = Option.map (fun tip -> tip.full_bytes + (tip.full_bytes / 8)) t.tip in
+    let data = Checkpoint.to_bytes ?capacity (full_image t ~id ~adaptive) in
+    (data, "full", { tip_id = id; full_bytes = String.length data; delta_pages = 0 })
   in
   match t.tip with
   | None -> full ()
   | Some tip ->
-      let delta =
-        Checkpoint.delta_of_patch ~id ~parent:tip.tip_id ~op_index:t.op_index
-          ~next_txn_id:(Wal.next_txn_id t.wal) ~strategy:t.inner.Strategy.name ~adaptive
-          (net_patch (List.rev t.since_image))
+      let removed, added = net_of t.catalog t.touched in
+      let data =
+        Checkpoint.delta_to_bytes
+          {
+            Checkpoint.cd_id = id;
+            cd_parent = tip.tip_id;
+            cd_op_index = t.op_index;
+            cd_next_txn_id = Wal.next_txn_id t.wal;
+            cd_strategy = t.inner.Strategy.name;
+            cd_adaptive = adaptive;
+            cd_removed = removed;
+            cd_added = added;
+          }
       in
-      let data = Checkpoint.delta_to_bytes delta in
       let pages = Wal.pages t.wal (String.length data) in
-      if tip.delta_pages + pages > tip.full_pages then full ()
+      if tip.delta_pages + pages > Wal.pages t.wal tip.full_bytes then full ()
       else (data, "delta", { tip with tip_id = id; delta_pages = tip.delta_pages + pages })
 
 let take_checkpoint t =
@@ -207,7 +269,7 @@ let take_checkpoint t =
   let bytes = Checkpoint.write (Wal.device t.wal) ~id data in
   ignore (Wal.charge_pages t.wal bytes);
   t.tip <- Some tip;
-  t.since_image <- [];
+  t.touched.n <- 0;
   t.next_ckpt_id <- id + 1;
   t.checkpoints_taken <- t.checkpoints_taken + 1;
   Fault.point fault "ckpt.written";
@@ -229,8 +291,7 @@ let handle_transaction t changes =
   Wal.append t.wal (Record.Txn_begin { txn_id });
   List.iter (fun c -> Wal.append t.wal (Record.change_of c ~txn_id)) changes;
   t.inner.Strategy.handle_transaction changes;
-  apply_catalog t.catalog changes;
-  t.since_image <- changes :: t.since_image;
+  apply_catalog t.catalog t.touched changes;
   t.op_index <- t.op_index + 1;
   Wal.append t.wal (Record.Commit { txn_id; op_index = t.op_index });
   Wal.commit t.wal;

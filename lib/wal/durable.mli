@@ -2,7 +2,13 @@
     {!Vmat_view.Strategy.t} that write-ahead-logs every transaction and
     periodically checkpoints, without changing the inner strategy's
     answers.  A `--durability wal` run differs from `--durability none`
-    only by [Wal]-category charges. *)
+    only by [Wal]-category charges.
+
+    The wrapper keeps an uncharged catalog of the base (tid → tuple) and
+    the tids each commit touched since the last image.  A delta image is
+    read from the catalog at those tids, after one integer sort, so its
+    cost follows what changed rather than the base; a full image sorts the
+    catalog's tids the same way (DESIGN §9.3). *)
 
 open Vmat_storage
 
@@ -54,7 +60,9 @@ val base_contents : t -> Tuple.t list
 val replay_base : Tuple.t list -> Vmat_view.Strategy.change list list -> Tuple.t list
 (** [replay_base initial txns]: the catalog the wrapper would hold after
     seeding it with [initial] and handling [txns] in order, ascending tid —
-    what recovery hands the continuing engine. *)
+    what recovery hands the continuing engine.  One linear merge of the
+    base with the net changes of [txns], which are taken from a catalog
+    that starts empty exactly as a delta takes them from the live one. *)
 
 val view_rows : Vmat_view.Strategy.t -> (Tuple.t * int) list
 (** Canonical (value-key-ordered) rows + duplicate counts of a strategy's

@@ -13,7 +13,7 @@ type model2_strategy = [ `Deferred | `Immediate | `Loopjoin ]
 type model3_strategy = [ `Deferred | `Immediate | `Recompute ]
 
 let scale (p : Params.t) s =
-  if s <= 0. || s > 1. then invalid_arg "Experiment.scale: factor must be in (0, 1]";
+  if not (s > 0. && s <= 1.) then invalid_arg "Experiment.scale: factor must be in (0, 1]";
   { p with Params.n_tuples = Float.max 100. (Float.round (p.n_tuples *. s)) }
 
 let ad_buckets_for (p : Params.t) =

@@ -14,7 +14,8 @@ type model3_strategy = [ `Deferred | `Immediate | `Recompute ]
 
 val scale : Params.t -> float -> Params.t
 (** [scale p s] shrinks the relation to [s * N] tuples (keeping fractions and
-    per-query update counts) for faster simulation. *)
+    per-query update counts) for faster simulation.
+    @raise Invalid_argument unless [0 < s <= 1] (so also for NaN). *)
 
 val fresh_ctx :
   ?sanitize:bool ->

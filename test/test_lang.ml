@@ -197,6 +197,167 @@ let test_resolution_two_schemas () =
       Alcotest.(check bool) "joined tuple satisfies" true (Predicate.eval pred joined)
   | Error m -> Alcotest.failf "resolve2: %s" m
 
+(* ------------------------------------------------------------------ *)
+(* Untrusted text never escapes as an exception                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The grammar's vocabulary plus near misses: keywords, strategy and
+   aggregate names, identifiers qualified and bare, every operator, and
+   literals at the edges of what the lexer reads. *)
+let vocabulary =
+  [|
+    "create"; "table"; "define"; "view"; "aggregate"; "as"; "from"; "where"; "join"; "on";
+    "cluster"; "using"; "insert"; "into"; "values"; "update"; "set"; "delete"; "select";
+    "value"; "and"; "or"; "not"; "between"; "true"; "false"; "key"; "size"; "int"; "float";
+    "string"; "bool"; "text"; "real"; "varchar"; "sum"; "count"; "avg"; "min"; "max";
+    "variance"; "deferred"; "immediate"; "clustered"; "recompute"; "snapshot"; "blakeley";
+    "r"; "s"; "v"; "t"; "id"; "pval"; "amount"; "note"; "r.id"; "s.pval"; "r.";
+    "("; ")"; ","; "."; "*"; "="; "<>"; "!="; "<"; "<="; ">"; ">="; "0"; "1"; "-1"; "0.5";
+    "1e3"; "1e400"; "-0"; "99999999999999999999"; "'x'"; "\"y\""; "''"; "'"; "\""; ";"; "\t";
+  |]
+
+let token_soup =
+  QCheck.make ~print:Fun.id
+    QCheck.Gen.(
+      map2
+        (fun sep words -> String.concat sep words)
+        (oneofl [ " "; ""; "  " ])
+        (list_size (int_range 0 30) (oneofa vocabulary)))
+
+let any_bytes = QCheck.make ~print:String.escaped QCheck.Gen.(string_size (int_range 0 60))
+
+let never_raises f s = match f s with Ok _ | Error _ -> true
+
+let prop_parse_never_raises =
+  List.concat_map
+    (fun (name, input) ->
+      [
+        QCheck.Test.make ~name:("parse answers Ok or Error on " ^ name) ~count:2000 input
+          (never_raises Parser.parse);
+        QCheck.Test.make ~name:("parse_predicate answers Ok or Error on " ^ name) ~count:2000
+          input
+          (never_raises Parser.parse_predicate);
+      ])
+    [ ("token soups", token_soup); ("arbitrary bytes", any_bytes) ]
+
+(* Statements over a few names, mostly right and sometimes wrong: unknown
+   tables, columns and types, bad arities and values, duplicate
+   definitions, strategies a view kind does not accept. *)
+let statement_gen =
+  QCheck.Gen.(
+    let table = frequencyl [ (4, "r"); (2, "s"); (1, "nosuch") ] in
+    let view = frequencyl [ (3, "v"); (3, "w"); (1, "r"); (1, "nosuch") ] in
+    let column =
+      frequency
+        [
+          (8, oneofl [ "id"; "pval"; "amount"; "note" ]);
+          (1, oneofl [ "bogus"; "r.pval"; "s.id" ]);
+        ]
+    in
+    let literal =
+      frequencyl
+        [ (3, "1"); (3, "0.05"); (2, "0.5"); (2, "7"); (1, "'x'"); (1, "true"); (1, "1e400") ]
+    in
+    let op = oneofl [ "="; "<>"; "<"; "<="; ">"; ">=" ] in
+    let pred =
+      oneof
+        [
+          map3 (Printf.sprintf "%s %s %s") column op literal;
+          map3 (Printf.sprintf "%s between %s and %s") column literal literal;
+          map2 (Printf.sprintf "%s < %s and not id = 1") column literal;
+          map2 (Printf.sprintf "%s = %s or true") column column;
+        ]
+    in
+    let columns = map (String.concat ", ") (list_size (int_range 0 3) column) in
+    let strategy =
+      frequencyl
+        [
+          (2, ""); (3, " using deferred"); (2, " using immediate"); (1, " using recompute");
+          (1, " using snapshot"); (1, " using blakeley"); (1, " using clustered");
+          (1, " using nosuch");
+        ]
+    in
+    let ty = oneofl [ "int"; "float"; "string"; "bool"; "blob" ] in
+    let coldef =
+      oneof [ map2 (Printf.sprintf "%s %s") column ty; map2 (Printf.sprintf "%s %s key") column ty ]
+    in
+    frequency
+      [
+        ( 1,
+          map3
+            (fun t cols size -> Printf.sprintf "create table %s (%s) size %s" t cols size)
+            table
+            (map (String.concat ", ") (list_size (int_range 0 4) coldef))
+            (oneofl [ "100"; "0"; "1.5" ]) );
+        ( 3,
+          map3
+            (fun v (cols, t) (p, c, u) ->
+              Printf.sprintf "define view %s (%s) from %s where %s cluster on %s%s" v cols t p c u)
+            view (pair columns table) (triple pred column strategy) );
+        ( 1,
+          map3
+            (fun v (c1, c2) (p, c, u) ->
+              Printf.sprintf
+                "define view %s (r.%s, s.%s) from r join s on r.id = s.id where %s cluster on %s%s"
+                v c1 c2 p c u)
+            view (pair column column) (triple pred column strategy) );
+        ( 2,
+          map3
+            (fun v (f, c) (t, p, u) ->
+              Printf.sprintf "define aggregate %s as %s(%s) from %s where %s%s" v f c t p u)
+            view
+            (pair (oneofl [ "sum"; "count"; "avg"; "min"; "nosuch" ]) column)
+            (triple table pred strategy) );
+        ( 4,
+          map2
+            (fun t vals -> Printf.sprintf "insert into %s values (%s)" t (String.concat ", " vals))
+            table
+            (oneof
+               [
+                 list_size (int_range 0 5) literal;
+                 map (fun n -> [ n; "0.05"; "3"; "'y'" ]) (oneofl [ "3"; "4"; "5"; "6" ]);
+               ]) );
+        ( 3,
+          map3
+            (fun t (c, x) p -> Printf.sprintf "update %s set %s = %s where %s" t c x p)
+            table (pair column literal) pred );
+        (2, map2 (Printf.sprintf "delete from %s where %s") table pred);
+        (2, map (Printf.sprintf "select * from %s") view);
+        (1, map3 (Printf.sprintf "select * from %s where %s between %s and 1") view column literal);
+        (1, map (Printf.sprintf "select value from %s") view);
+      ])
+
+(* Most sequences start from two tables holding a few rows, so the
+   definitions and updates after them get past name resolution. *)
+let setup_statements =
+  [
+    "create table r (id int key, pval float, amount float, note string) size 100";
+    "create table s (id int key, pval float, amount float, note string) size 50";
+    "insert into r values (1, 0.05, 10, 'a')";
+    "insert into r values (2, 0.5, 20, 'b')";
+    "insert into s values (1, 0.05, 30, 'c')";
+  ]
+
+let prop_db_exec_never_raises =
+  QCheck.Test.make ~name:"Db.exec answers Ok or Error; an Error changes no name" ~count:200
+    (QCheck.make
+       ~print:(String.concat ";\n")
+       QCheck.Gen.(
+         map2
+           (fun setup statements -> if setup then setup_statements @ statements else statements)
+           (frequencyl [ (4, true); (1, false) ])
+           (list_size (int_range 1 25) statement_gen)))
+    (fun statements ->
+      let db = Db.create () in
+      List.for_all
+        (fun statement ->
+          let names () = (Db.table_names db, Db.view_names db) in
+          let before = names () in
+          match Db.exec db statement with
+          | Ok _ -> true
+          | Error _ -> names () = before)
+        statements)
+
 let suites =
   [
     ( "lang.lexer",
@@ -220,4 +381,7 @@ let suites =
         Alcotest.test_case "single schema" `Quick test_resolution;
         Alcotest.test_case "two schemas" `Quick test_resolution_two_schemas;
       ] );
+    ( "lang.fuzz",
+      List.map QCheck_alcotest.to_alcotest
+        (prop_parse_never_raises @ [ prop_db_exec_never_raises ]) );
   ]

@@ -202,6 +202,45 @@ let test_plot_edge_cases () =
   Alcotest.(check bool) "constant series renders" true
     (String.length (chart [ ("a", '*', [ (0., 5.); (1., 5.) ]) ]) > 0)
 
+(* ------------------------------------------------------------------ *)
+(* Int_sort                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Lengths 0..100 cross the 16-element runs and every merge width up to
+   128; small values force repeats, and the extremes check that no
+   comparison is done by subtraction. *)
+let int_sort_input =
+  QCheck.make
+    ~print:QCheck.Print.(pair (list int) (list int))
+    QCheck.Gen.(
+      let element =
+        frequency
+          [
+            (4, int_range (-8) 8);
+            (2, int);
+            (1, oneofl [ min_int; max_int; min_int + 1; max_int - 1; 0 ]);
+          ]
+      in
+      pair (list_size (int_range 0 100) element) (list_size (int_range 0 3) element))
+
+let prop_int_sort_matches_list_sort =
+  QCheck.Test.make ~name:"sort of a prefix = List.sort Int.compare; the rest untouched"
+    ~count:1000 int_sort_input (fun (prefix, rest) ->
+      let a = Array.of_list (prefix @ rest) in
+      let len = List.length prefix in
+      Int_sort.sort a len;
+      Array.to_list a = List.sort Int.compare prefix @ rest)
+
+let test_int_sort_rejects_bad_length () =
+  let a = [| 3; 1; 2 |] in
+  List.iter
+    (fun len ->
+      match Int_sort.sort a len with
+      | () -> Alcotest.failf "length %d accepted" len
+      | exception Invalid_argument _ -> ())
+    [ -1; 4 ];
+  Alcotest.(check (list int)) "untouched after a refusal" [ 3; 1; 2 ] (Array.to_list a)
+
 let qcheck = List.map QCheck_alcotest.to_alcotest
 
 let suites =
@@ -220,6 +259,9 @@ let suites =
         Alcotest.test_case "triangle at fractional p" `Quick test_yao_triangle_fractional_p;
       ]
       @ qcheck [ prop_yao_bounds; prop_yao_monotone_k; prop_yao_triangle ] );
+    ( "util.int_sort",
+      Alcotest.test_case "rejects a bad length" `Quick test_int_sort_rejects_bad_length
+      :: qcheck [ prop_int_sort_matches_list_sort ] );
     ( "util.rng",
       [
         Alcotest.test_case "deterministic" `Quick test_rng_deterministic;

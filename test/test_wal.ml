@@ -144,7 +144,8 @@ let test_tuple_roundtrip () =
          Codec.tuple w t;
          let t' = Codec.r_tuple (Codec.reader (Codec.contents w)) in
          Tuple.tid t = Tuple.tid t'
-         && String.equal (Tuple.value_key t) (Tuple.value_key t')))
+         && String.equal (Tuple.value_key t) (Tuple.value_key t')
+         && Codec.tuple_size t = String.length (Codec.contents w)))
 
 let test_schema_roundtrip () =
   let check_schema s =
@@ -1040,6 +1041,175 @@ let test_recover_past_corrupt_links () =
     ]
 
 (* ------------------------------------------------------------------ *)
+(* Live images against a reference fold                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The net effect of change lists (oldest first) by tid, folded through a
+   polymorphic table the way the wrapper once folded its retained change
+   lists: a removed tid ends [None], an added one [Some] its last tuple. *)
+let reference_net_patch txns =
+  let last = Hashtbl.create 64 in
+  List.iter
+    (List.iter (fun (c : Strategy.change) ->
+         Option.iter
+           (fun old_tuple -> Hashtbl.replace last (Tuple.tid old_tuple) None)
+           c.Strategy.before;
+         Option.iter
+           (fun new_tuple -> Hashtbl.replace last (Tuple.tid new_tuple) (Some new_tuple))
+           c.Strategy.after))
+    txns;
+  List.sort
+    (fun (a, _) (b, _) -> Int.compare a b)
+    (Hashtbl.fold (fun tid change acc -> (tid, change) :: acc) last [])
+
+(* An inner strategy that keeps nothing: the images then hold exactly what
+   the wrapper's own catalog and touched tids give them. *)
+let null_strategy =
+  {
+    Strategy.name = "null";
+    handle_transaction = ignore;
+    answer_query = (fun _ -> []);
+    scalar_query = (fun () -> 0.);
+    view_contents = Bag.create;
+  }
+
+type pool_op =
+  | Fresh_modify of int  (** a live row gets a new tid *)
+  | In_place of int  (** a live row keeps its tid *)
+  | Remove of int
+  | Insert  (** a never-used tid *)
+  | Reinsert of int  (** a removed tid comes back *)
+
+let pool_op_name = function
+  | Fresh_modify i -> Printf.sprintf "fresh_modify %d" i
+  | In_place i -> Printf.sprintf "in_place %d" i
+  | Remove i -> Printf.sprintf "remove %d" i
+  | Insert -> "insert"
+  | Reinsert i -> Printf.sprintf "reinsert %d" i
+
+let pool_op_gen =
+  QCheck.Gen.(
+    let pick = int_range 0 15 in
+    frequency
+      [
+        (3, map (fun i -> Fresh_modify i) pick);
+        (3, map (fun i -> In_place i) pick);
+        (2, map (fun i -> Remove i) pick);
+        (2, return Insert);
+        (2, map (fun i -> Reinsert i) pick);
+      ])
+
+(* Turns abstract operations into changes over a pool of at most a few
+   dozen tids, each change applied to [live] as it is made so later changes
+   in the same transaction see it. *)
+let pool_changes ~live ~dead ~next_tid ~next_value ops =
+  let value () =
+    incr next_value;
+    [| Value.Int !next_value |]
+  in
+  let fresh () =
+    incr next_tid;
+    !next_tid
+  in
+  let nth l i = List.nth l (i mod List.length l) in
+  let live_tuple i =
+    Hashtbl.find live (nth (List.sort Int.compare (List.of_seq (Hashtbl.to_seq_keys live))) i)
+  in
+  let insert tid =
+    let tuple = Tuple.make ~tid (value ()) in
+    Hashtbl.replace live tid tuple;
+    dead := List.filter (fun d -> d <> tid) !dead;
+    Strategy.insert tuple
+  in
+  List.map
+    (fun op ->
+      match op with
+      | (Fresh_modify i | In_place i | Remove i) when Hashtbl.length live > 0 ->
+          let old_tuple = live_tuple i in
+          let tid = Tuple.tid old_tuple in
+          Hashtbl.remove live tid;
+          (match op with
+          | Fresh_modify _ ->
+              dead := tid :: !dead;
+              let new_tuple = Tuple.make ~tid:(fresh ()) (value ()) in
+              Hashtbl.replace live (Tuple.tid new_tuple) new_tuple;
+              Strategy.modify ~old_tuple ~new_tuple
+          | In_place _ ->
+              let new_tuple = Tuple.make ~tid (value ()) in
+              Hashtbl.replace live tid new_tuple;
+              Strategy.modify ~old_tuple ~new_tuple
+          | _ ->
+              dead := tid :: !dead;
+              Strategy.delete old_tuple)
+      | Reinsert i when !dead <> [] -> insert (nth (List.sort Int.compare !dead) i)
+      | Fresh_modify _ | In_place _ | Remove _ | Insert | Reinsert _ -> insert (fresh ()))
+    ops
+
+let sorted_rows live =
+  tid_lines
+    (List.sort
+       (fun a b -> Int.compare (Tuple.tid a) (Tuple.tid b))
+       (List.of_seq (Hashtbl.to_seq_values live)))
+
+let check_images_against_fold (checkpoint_every, txns) =
+  let initial = List.init 6 (fun i -> Tuple.make ~tid:(i + 1) [| Value.Int (100 + i) |]) in
+  let live = Hashtbl.create 16 in
+  List.iter (fun t -> Hashtbl.replace live (Tuple.tid t) t) initial;
+  let dead = ref [] and next_tid = ref 6 and next_value = ref 0 in
+  let dev = Device.memory () in
+  let d =
+    Durable.wrap ~config:(Wal.config ~group_commit:2 ~checkpoint_every ()) ~ctx:(Ctx.create ())
+      ~dev ~initial null_strategy
+  in
+  let s = Durable.strategy d in
+  let window = ref [] and all = ref [] and kinds = ref [] in
+  List.iter
+    (fun ops ->
+      let changes = pool_changes ~live ~dead ~next_tid ~next_value ops in
+      let taken = Durable.checkpoints_taken d in
+      s.Strategy.handle_transaction changes;
+      window := changes :: !window;
+      all := changes :: !all;
+      if Durable.checkpoints_taken d > taken then begin
+        let id, _ = List.hd (List.rev (Checkpoint.image_files dev)) in
+        (match Checkpoint.read dev ~id with
+        | Ok (Checkpoint.Delta delta, _) ->
+            let patch = reference_net_patch (List.rev !window) in
+            kinds := "delta" :: !kinds;
+            if
+              delta.Checkpoint.cd_removed
+              <> List.filter_map (fun (tid, c) -> if c = None then Some tid else None) patch
+              || tid_lines delta.Checkpoint.cd_added <> tid_lines (List.filter_map snd patch)
+            then QCheck.Test.fail_reportf "delta %d differs from the fold of its window" id
+        | Ok (Checkpoint.Full im, _) ->
+            kinds := "full" :: !kinds;
+            if tid_lines im.Checkpoint.ck_base <> sorted_rows live then
+              QCheck.Test.fail_reportf "full image %d differs from the reference catalog" id
+        | Error e -> QCheck.Test.fail_reportf "image %d unreadable: %s" id e);
+        window := []
+      end)
+    txns;
+  let want = sorted_rows live in
+  if tid_lines (Durable.base_contents d) <> want then
+    QCheck.Test.fail_report "base_contents differs from the reference catalog";
+  if tid_lines (Durable.replay_base initial (List.rev !all)) <> want then
+    QCheck.Test.fail_report "replay_base differs from the reference catalog";
+  true
+
+let test_images_match_reference_fold () =
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~name:"live images = reference fold (checkpoint every 1..5)" ~count:300
+       (QCheck.make
+          ~print:(fun (every, txns) ->
+            Printf.sprintf "checkpoint every %d:\n%s" every
+              (String.concat "\n"
+                 (List.map (fun ops -> String.concat "; " (List.map pool_op_name ops)) txns)))
+          QCheck.Gen.(
+            pair (int_range 1 5)
+              (list_size (int_range 1 30) (list_size (int_range 1 5) pool_op_gen))))
+       check_images_against_fold)
+
+(* ------------------------------------------------------------------ *)
 (* Crash equivalence: the headline property                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -1146,6 +1316,8 @@ let suites =
         Alcotest.test_case "delta rejects malformed lists" `Quick test_delta_rejects_malformed;
         Alcotest.test_case "chain fold" `Quick test_chain_fold;
         Alcotest.test_case "chain falls back past corrupt links" `Quick test_chain_falls_back;
+        Alcotest.test_case "live images = reference fold (qcheck)" `Quick
+          test_images_match_reference_fold;
       ] );
     ( "wal-fuzz",
       [
