@@ -152,6 +152,7 @@ let float_conv ~ok ~hint =
 
 let unit_float = float_conv ~ok:(fun x -> x >= 0. && x <= 1.) ~hint:"0 <= X <= 1"
 let nonneg_float = float_conv ~ok:(fun x -> x >= 0.) ~hint:"X >= 0"
+let finite_float = float_conv ~ok:Float.is_finite ~hint:"a finite number"
 
 (* A usage error for a factor outside (0, 1] (NaN and the infinities
    included), before anything is built from it. *)
@@ -468,9 +469,18 @@ let sweep_cmd =
       & opt string "P"
       & info [ "param" ] ~docv:"P|f|fv|l|c3" ~doc:"Parameter to sweep.")
   in
-  let from_term = Arg.(value & opt float 0.05 & info [ "from" ] ~docv:"FLOAT") in
-  let to_term = Arg.(value & opt float 0.95 & info [ "to" ] ~docv:"FLOAT") in
-  let steps_term = Arg.(value & opt int 10 & info [ "steps" ] ~docv:"INT") in
+  let from_term =
+    Arg.(value & opt finite_float 0.05 & info [ "from" ] ~docv:"FLOAT" ~doc:"First sweep point.")
+  in
+  let to_term =
+    Arg.(value & opt finite_float 0.95 & info [ "to" ] ~docv:"FLOAT" ~doc:"Last sweep point.")
+  in
+  let steps_term =
+    Arg.(
+      value
+      & opt (count_conv ~least:2 ~hint:"N >= 2") 10
+      & info [ "steps" ] ~docv:"N" ~doc:"Number of sweep points, both ends included.")
+  in
   let measured_term =
     Arg.(
       value & flag
@@ -507,66 +517,80 @@ let sweep_cmd =
       | "f" -> { p with Params.f = v }
       | "fv" -> { p with Params.fv = v }
       | "l" -> { p with Params.l_per_txn = v }
-      | "c3" -> { p with Params.c3 = v }
-      | other ->
-          Printf.eprintf "unknown sweep parameter %s\n" other;
-          exit 2
+      | _ -> { p with Params.c3 = v }
     in
-    let costs_at p =
-      if not measured then costs_of_model model p
-      else
-        let p = Experiment.scale p scale in
-        let results =
-          match model with
-          | Advisor.Selection_projection ->
-              Experiment.measure_model1 ~seed ?sanitize ?wrap p
-                [ `Deferred; `Immediate; `Clustered ]
-          | Advisor.Two_way_join ->
-              Experiment.measure_model2 ~seed ?sanitize ?wrap p
-                [ `Deferred; `Immediate; `Loopjoin ]
-          | Advisor.Aggregate_over_view ->
-              Experiment.measure_model3 ~seed ?sanitize ?wrap p
-                [ `Deferred; `Immediate; `Recompute ]
+    (* Every parameter's domain is an interval, so when both ends are valid
+       points every point between them is too.  An end outside it is a
+       usage error naming its flag, never a clamped or meaningless row. *)
+    let check_end flag v =
+      let out_of_range why =
+        Error (Printf.sprintf "option '%s': %s = %g is out of range; %s" flag param v why)
+      in
+      if not (List.mem param [ "P"; "f"; "fv"; "l"; "c3" ]) then
+        Error
+          (Printf.sprintf "option '--param': unknown sweep parameter %S; expected P, f, fv, l or c3"
+             param)
+      else if param = "P" && not (v >= 0. && v < 1.) then out_of_range "expected 0 <= P < 1"
+      else Result.fold ~ok:Result.ok ~error:out_of_range (Params.validate (apply v))
+    in
+    match Result.bind (check_end "--from" lo) (fun () -> check_end "--to" hi) with
+    | Error message -> `Error (true, message)
+    | Ok () ->
+        let costs_at p =
+          if not measured then costs_of_model model p
+          else
+            let p = Experiment.scale p scale in
+            let results =
+              match model with
+              | Advisor.Selection_projection ->
+                  Experiment.measure_model1 ~seed ?sanitize ?wrap p
+                    [ `Deferred; `Immediate; `Clustered ]
+              | Advisor.Two_way_join ->
+                  Experiment.measure_model2 ~seed ?sanitize ?wrap p
+                    [ `Deferred; `Immediate; `Loopjoin ]
+              | Advisor.Aggregate_over_view ->
+                  Experiment.measure_model3 ~seed ?sanitize ?wrap p
+                    [ `Deferred; `Immediate; `Recompute ]
+            in
+            List.map (fun (name, m) -> (name, m.Runner.cost_per_query)) results
         in
-        List.map (fun (name, m) -> (name, m.Runner.cost_per_query)) results
-    in
-    let names = List.map fst (costs_at p) in
-    let values =
-      List.init (max 2 steps) (fun i ->
-          lo +. ((hi -. lo) *. float_of_int i /. float_of_int (max 1 (steps - 1))))
-    in
-    (* Each sweep point builds its own execution context inside [costs_at],
-       so the points are independent and run on [jobs] domains. *)
-    let point_costs = Parallel.map_points ~jobs (fun v -> (v, costs_at (apply v))) values in
-    let rows =
-      List.map
-        (fun (v, costs) ->
-          Table.float_cell ~decimals:3 v
-          :: (List.map (fun (_, c) -> Table.float_cell ~decimals:1 c) costs
-             @ [ fst (Regions.argmin costs) ]))
-        point_costs
-    in
-    print_endline (Table.render ~headers:(param :: (names @ [ "best" ])) rows);
-    match csv with
-    | None -> ()
-    | Some path ->
-        let header = String.concat "," (param :: (names @ [ "best" ])) in
-        let line (v, costs) =
-          String.concat ","
-            (Printf.sprintf "%.6g" v
-            :: (List.map (fun (_, c) -> Printf.sprintf "%.6g" c) costs
-               @ [ fst (Regions.argmin costs) ]))
+        let names = List.map fst (costs_at p) in
+        let values =
+          List.init steps (fun i -> lo +. ((hi -. lo) *. float_of_int i /. float_of_int (steps - 1)))
         in
-        let text =
-          String.concat "\n" (header :: List.map line point_costs) ^ "\n"
+        (* Each sweep point builds its own execution context inside [costs_at],
+           so the points are independent and run on [jobs] domains. *)
+        let point_costs = Parallel.map_points ~jobs (fun v -> (v, costs_at (apply v))) values in
+        let rows =
+          List.map
+            (fun (v, costs) ->
+              Table.float_cell ~decimals:3 v
+              :: (List.map (fun (_, c) -> Table.float_cell ~decimals:1 c) costs
+                 @ [ fst (Regions.argmin costs) ]))
+            point_costs
         in
-        if path = "-" then print_string text
-        else begin
-          let oc = open_out path in
-          output_string oc text;
-          close_out oc;
-          Printf.eprintf "wrote %s (%d rows)\n%!" path (List.length point_costs)
-        end
+        print_endline (Table.render ~headers:(param :: (names @ [ "best" ])) rows);
+        match csv with
+        | None -> `Ok ()
+        | Some path ->
+            let header = String.concat "," (param :: (names @ [ "best" ])) in
+            let line (v, costs) =
+              String.concat ","
+                (Printf.sprintf "%.6g" v
+                :: (List.map (fun (_, c) -> Printf.sprintf "%.6g" c) costs
+                   @ [ fst (Regions.argmin costs) ]))
+            in
+            let text =
+              String.concat "\n" (header :: List.map line point_costs) ^ "\n"
+            in
+            if path = "-" then print_string text
+            else begin
+              let oc = open_out path in
+              output_string oc text;
+              close_out oc;
+              Printf.eprintf "wrote %s (%d rows)\n%!" path (List.length point_costs)
+            end;
+            `Ok ()
   in
   Cmd.v
     (Cmd.info "sweep"
@@ -574,9 +598,10 @@ let sweep_cmd =
          "Cost table over a parameter sweep (analytic, or measured with --measured; \
           points run in parallel with --jobs).")
     Term.(
-      const run $ model_term $ params_term $ param_term $ from_term $ to_term $ steps_term
-      $ measured_term $ scale_term $ seed_term $ jobs_term $ csv_term $ sanitize_term
-      $ durability_term $ group_commit_term $ checkpoint_every_term)
+      ret
+        (const run $ model_term $ params_term $ param_term $ from_term $ to_term $ steps_term
+       $ measured_term $ scale_term $ seed_term $ jobs_term $ csv_term $ sanitize_term
+       $ durability_term $ group_commit_term $ checkpoint_every_term))
 
 let adapt_cmd =
   let int_flag name doc default =

@@ -317,7 +317,9 @@ let d6 =
    sanctioned and carries a [.vmlint] allowlist entry with its
    justification.  Scoped to [lib/view] and [lib/relalg], the layers whose
    hot loops the contract covers; a warning, not an error, because the
-   boundary is a judgment call. *)
+   boundary is a judgment call.  [Strategy.scan_modified] is listed with
+   the storage iterators: it is the query-modification scan every qmod
+   engine shares, and its row callback runs once per examined row. *)
 
 let scan_iterators =
   [
@@ -331,6 +333,7 @@ let scan_iterators =
     "Heap_file.scan_views";
     "Heap_file.iter_views_unmetered";
     "Materialized.range";
+    "Strategy.scan_modified";
   ]
 
 let materializers =

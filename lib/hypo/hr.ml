@@ -271,10 +271,7 @@ let pending t ~delete ~insert = iter_marked (net_changes_unmetered t) ~delete ~i
 let reset t net =
   if net.read_at <> t.version then invalid_arg "Hr.reset: net changes read before a later change";
   Cost_meter.with_category t.meter Cost_meter.Base (fun () ->
-      List.iter
-        (fun (tuple, _) ->
-          ignore (Btree.remove t.base ~key:(Btree.key_of t.base tuple) ~tid:(Tuple.tid tuple)))
-        net.d_net;
+      List.iter (fun (tuple, _) -> ignore (Btree.remove_tuple t.base tuple)) net.d_net;
       List.iter (fun (tuple, _) -> Btree.insert t.base tuple) net.a_net;
       Buffer_pool.invalidate (Btree.pool t.base));
   List.iter

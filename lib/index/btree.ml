@@ -471,3 +471,5 @@ let max_key_unmetered t =
   in
   walk (Some (leftmost_leaf t.root));
   !result
+
+let remove_tuple t tuple = remove t ~key:(key_of t tuple) ~tid:(Tuple.tid tuple)

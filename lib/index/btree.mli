@@ -45,6 +45,9 @@ val insert : t -> Tuple.t -> unit
 val remove : t -> key:Value.t -> tid:int -> bool
 (** Remove the entry with exactly this key and tid; [false] if absent. *)
 
+val remove_tuple : t -> Tuple.t -> bool
+(** {!remove} at the tuple's own key and tid. *)
+
 val update_in_place : t -> key:Value.t -> tid:int -> (Tuple.t -> Tuple.t) -> bool
 (** Rewrite the entry's tuple without moving it.  The replacement must
     preserve the key and the tid.

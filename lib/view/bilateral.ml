@@ -120,7 +120,7 @@ let base_apply store index_add index_remove ~deletes:(d1, d2) ~inserts:(a1, a2) 
   Cost_meter.with_category store.meter Cost_meter.Base (fun () ->
       List.iter
         (fun tuple ->
-          ignore (Btree.remove store.r1 ~key:(Btree.key_of store.r1 tuple) ~tid:(Tuple.tid tuple));
+          ignore (Btree.remove_tuple store.r1 tuple);
           index_remove tuple)
         d1;
       List.iter
@@ -140,16 +140,9 @@ let base_apply store index_add index_remove ~deletes:(d1, d2) ~inserts:(a1, a2) 
 
 let make_materialized (env : Strategy_join.env) =
   let ctx = env.Strategy_join.ctx in
-  let geometry = Ctx.geometry ctx in
-  let mat =
-    Materialized.create ~disk:(Ctx.disk ctx) ~name:env.view.j_name
-      ~fanout:(Strategy.fanout geometry)
-      ~leaf_capacity:(Strategy.blocking_factor geometry env.view.j_out_schema)
-      ~cluster_col:env.view.j_cluster_out ()
-  in
-  Materialized.rebuild mat
-    (Delta.recompute_join ~tids:(Ctx.tids ctx) env.view env.initial_left env.initial_right);
-  mat
+  Strategy.stored_view ctx ~name:env.view.j_name ~schema:env.view.j_out_schema
+    ~cluster_col:env.view.j_cluster_out
+    (Delta.recompute_join ~tids:(Ctx.tids ctx) env.view env.initial_left env.initial_right)
 
 let marked store tuple = Screen.screen store.screen tuple
 
@@ -251,10 +244,9 @@ let loopjoin env =
         List.rev !out)
   in
   let contents () =
-    let lefts = ref [] in
-    Btree.iter_unmetered store.r1 (fun t -> lefts := t :: !lefts);
+    let lefts = Strategy.base_tuples store.r1 in
     let rights = ref [] in
     Hash_file.iter_unmetered store.r2 (fun t -> rights := t :: !rights);
-    Delta.recompute_join ~tids:store.tids store.view !lefts !rights
+    Delta.recompute_join ~tids:store.tids store.view lefts !rights
   in
   { name = "bilateral-loopjoin"; handle; answer; contents }

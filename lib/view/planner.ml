@@ -14,12 +14,9 @@ type t = {
   compiled : Tuple_view.t -> bool option;  (* sp_pred over page cursors *)
   screen : Screen.t;
   reads : int list;  (* the view's columns, for the readily-ignorable test *)
-  geometry : Strategy.geometry;
 }
 
 let create ~ctx ~view ~base_cluster ~initial () =
-  let disk = Ctx.disk ctx in
-  let geometry = Ctx.geometry ctx in
   let tids = Ctx.tids ctx in
   let base_cluster_col =
     match Schema.column_index view.View_def.sp_base base_cluster with
@@ -30,49 +27,23 @@ let create ~ctx ~view ~base_cluster ~initial () =
   let meter = Ctx.meter ctx in
   let base = Strategy.base_relation ctx view.sp_base ~key_col:base_cluster_col initial in
   let mat =
-    Materialized.create ~disk ~name:view.sp_name ~fanout:(Strategy.fanout geometry)
-      ~leaf_capacity:(Strategy.blocking_factor geometry view.sp_out_schema)
-      ~cluster_col:view.sp_cluster_out ()
+    Strategy.stored_view ctx ~name:view.sp_name ~schema:view.sp_out_schema
+      ~cluster_col:view.sp_cluster_out (Delta.recompute_sp ~tids view initial)
   in
-  Materialized.rebuild mat (Delta.recompute_sp ~tids view initial);
   let screen = Screen.create ~meter ~view_name:view.sp_name ~pred:view.sp_pred () in
   let compiled = Predicate.compile view.sp_pred in
   let reads = View_def.sp_reads view in
-  { meter; tids; view; base_cluster_col; base; mat; compiled; screen; reads; geometry }
+  { meter; tids; view; base_cluster_col; base; mat; compiled; screen; reads }
 
 let handle_transaction t changes =
-  let marked_deletes = ref [] and marked_inserts = ref [] in
-  List.iter
-    (fun (change : Strategy.change) ->
-      Cost_meter.with_category t.meter Cost_meter.Base (fun () ->
-          Option.iter
-            (fun tuple ->
-              ignore
-                (Btree.remove t.base ~key:(Btree.key_of t.base tuple) ~tid:(Tuple.tid tuple)))
-            change.Strategy.before;
-          Option.iter (Btree.insert t.base) change.Strategy.after);
-      let marked_old, marked_new = Screen.screen_change t.screen ~reads:t.reads change in
-      (match (change.Strategy.before, marked_old) with
-      | Some tuple, Some true -> marked_deletes := tuple :: !marked_deletes
-      | _ -> ());
-      match (change.Strategy.after, marked_new) with
-      | Some tuple, Some true -> marked_inserts := tuple :: !marked_inserts
-      | _ -> ())
-    changes;
-  Cost_meter.with_category t.meter Cost_meter.Base (fun () ->
-      Buffer_pool.invalidate (Btree.pool t.base));
-  (* Resetting the in-memory A and D sets costs C3 per tuple they hold. *)
-  Cost_meter.with_category t.meter Cost_meter.Overhead (fun () ->
-      Cost_meter.charge_set_overhead t.meter
-        (List.length !marked_deletes + List.length !marked_inserts));
-  Cost_meter.with_category t.meter Cost_meter.Refresh (fun () ->
-      List.iter
-        (fun tuple -> Materialized.apply t.mat Delete (View_def.sp_output ~tids:t.tids t.view tuple))
-        (List.rev !marked_deletes);
-      List.iter
-        (fun tuple -> Materialized.apply t.mat Insert (View_def.sp_output ~tids:t.tids t.view tuple))
-        (List.rev !marked_inserts);
-      Materialized.flush t.mat)
+  let maintain action tuple =
+    Materialized.apply t.mat action (View_def.sp_output ~tids:t.tids t.view tuple)
+  in
+  Strategy.immediate_step t.meter ~view:t.view.sp_name ~base:t.base
+    ~mark:(Screen.screen_change t.screen ~reads:t.reads)
+    ~delete:(maintain Delete) ~insert:(maintain Insert)
+    ~flush:(fun () -> Materialized.flush t.mat)
+    changes
 
 (* Column resolution: its base position, and its output position when
    projected into the view. *)
@@ -138,13 +109,9 @@ let answer_via t route ~column ~lo ~hi =
             if base_col = t.base_cluster_col then (lo, hi)
             else (Strategy.min_sentinel, Strategy.max_sentinel)
           in
-          Btree.range_views t.base ~lo:scan_lo ~hi:scan_hi (fun v ->
-              Cost_meter.charge_predicate_test t.meter;
-              if
-                Predicate.eval_view t.compiled v
-                && Tuple_view.compare_col v base_col lo >= 0
-                && Tuple_view.compare_col v base_col hi <= 0
-              then out := (View_def.sp_output_view ~tids:t.tids t.view v, 1) :: !out);
+          Strategy.scan_modified t.meter ~compiled:t.compiled ~col:base_col ~lo ~hi
+            (Btree.range_views t.base ~lo:scan_lo ~hi:scan_hi)
+            (fun v -> out := (View_def.sp_output_view ~tids:t.tids t.view v, 1) :: !out);
           Buffer_pool.invalidate (Btree.pool t.base);
           List.rev !out)
   | Via_view -> (

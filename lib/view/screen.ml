@@ -64,10 +64,12 @@ let rec writes_no_read reads old_tuple new_tuple i =
 let readily_ignorable ~reads ~old_tuple ~new_tuple =
   Tuple.arity old_tuple = Tuple.arity new_tuple && writes_no_read reads old_tuple new_tuple 0
 
+let screen_images t (change : Strategy.change) =
+  let mark = Option.map (screen t) in
+  (mark change.before, mark change.after)
+
 let screen_change t ~reads (change : Strategy.change) =
   match (change.before, change.after) with
   | Some old_tuple, Some new_tuple when readily_ignorable ~reads ~old_tuple ~new_tuple ->
       (Some false, Some false)
-  | before, after ->
-      let mark = Option.map (screen t) in
-      (mark before, mark after)
+  | _ -> screen_images t change

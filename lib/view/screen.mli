@@ -31,10 +31,15 @@ val readily_ignorable : reads:int list -> old_tuple:Tuple.t -> new_tuple:Tuple.t
     test per command at compile time; per change is the same test at a finer
     grain. *)
 
-val screen_change : t -> reads:int list -> Strategy.change -> bool option * bool option
+val screen_images : t -> Strategy.change -> bool option * bool option
 (** The marks of a change's deleted and inserted images ([None] where the
-    change has no such image): both images are screened, unless
-    {!readily_ignorable} rules the modification out, which marks both
-    [Some false] at no charge.  Used by every engine that screens a change
-    outside a hypothetical relation ([Strategy_sp.immediate], [recompute],
+    change has no such image): both images are {!screen}ed.  The screening
+    of the engines that apply no readily-ignorable test
+    ([Strategy_join.immediate], [Strategy_agg.immediate]). *)
+
+val screen_change : t -> reads:int list -> Strategy.change -> bool option * bool option
+(** {!screen_images}, unless {!readily_ignorable} rules the modification
+    out, which marks both images [Some false] at no charge.  Used by every
+    engine over a selection-projection view that screens a change outside a
+    hypothetical relation ([Strategy_sp.immediate], [recompute],
     [Planner]). *)

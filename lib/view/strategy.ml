@@ -61,6 +61,62 @@ let refresh_span meter ~view ?(name = "refresh") f =
       f
   end
 
+let base_tuples base =
+  let tuples = ref [] in
+  Btree.iter_unmetered base (fun tuple -> tuples := tuple :: !tuples);
+  !tuples
+
+let stored_view ctx ~name ~schema ~cluster_col contents =
+  let geometry = Ctx.geometry ctx in
+  let mat =
+    Materialized.create ~disk:(Ctx.disk ctx) ~name ~fanout:(fanout geometry)
+      ~leaf_capacity:(blocking_factor geometry schema) ~cluster_col ()
+  in
+  Materialized.rebuild mat contents;
+  mat
+
+let write_base meter base changes =
+  Cost_meter.with_category meter Cost_meter.Base (fun () ->
+      List.iter
+        (fun change ->
+          Option.iter (fun tuple -> ignore (Btree.remove_tuple base tuple)) change.before;
+          Option.iter (Btree.insert base) change.after)
+        changes;
+      Buffer_pool.invalidate (Btree.pool base))
+
+let immediate_step meter ~view ~base ~mark ~delete ~insert ~flush changes =
+  write_base meter base changes;
+  let marked_deletes = ref [] and marked_inserts = ref [] in
+  List.iter
+    (fun change ->
+      let marked_old, marked_new = mark change in
+      (match (change.before, marked_old) with
+      | Some tuple, Some true -> marked_deletes := tuple :: !marked_deletes
+      | _ -> ());
+      match (change.after, marked_new) with
+      | Some tuple, Some true -> marked_inserts := tuple :: !marked_inserts
+      | _ -> ())
+    changes;
+  (* Resetting the in-memory A and D sets costs C3 per tuple they hold. *)
+  Cost_meter.with_category meter Cost_meter.Overhead (fun () ->
+      Cost_meter.charge_set_overhead meter
+        (List.length !marked_deletes + List.length !marked_inserts));
+  (* V' = (V - D) u A: deletions first, each set in change order. *)
+  refresh_span meter ~view (fun () ->
+      Cost_meter.with_category meter Cost_meter.Refresh (fun () ->
+          List.iter delete (List.rev !marked_deletes);
+          List.iter insert (List.rev !marked_inserts);
+          flush ()))
+
+let scan_modified meter ~compiled ~col ~lo ~hi examined k =
+  examined (fun view ->
+      Cost_meter.charge_predicate_test meter;
+      if
+        Predicate.eval_view compiled view
+        && Tuple_view.compare_col view col lo >= 0
+        && Tuple_view.compare_col view col hi <= 0
+      then k view)
+
 let min_sentinel = Value.Null
 let max_sentinel = Value.Str "\xff\xff\xff\xff\xff\xff\xff\xff"
 

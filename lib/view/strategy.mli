@@ -73,6 +73,53 @@ val refresh_span : Cost_meter.t -> view:string -> ?name:string -> (unit -> 'a) -
     end-attribute.  Free (one branch) when the recorder is disabled; never
     affects the meter either way. *)
 
+val base_tuples : Vmat_index.Btree.t -> Tuple.t list
+(** The base relation's tuples, read unmetered, last key first (catalog
+    reads for [view_contents] and the sanitizers). *)
+
+val stored_view :
+  Ctx.t -> name:string -> schema:Schema.t -> cluster_col:int -> Bag.t -> Materialized.t
+(** A stored view at the context geometry's fanout and blocking factor for
+    its output [schema], clustered on output column [cluster_col] and
+    rebuilt from the given contents. *)
+
+val write_base : Cost_meter.t -> Vmat_index.Btree.t -> change list -> unit
+(** Write a transaction to the base relation: for each change in order,
+    remove the before image at its key and tid and insert the after image.
+    All of it is charged to [Base]; the pool is dropped at the end. *)
+
+val immediate_step :
+  Cost_meter.t ->
+  view:string ->
+  base:Vmat_index.Btree.t ->
+  mark:(change -> bool option * bool option) ->
+  delete:(Tuple.t -> unit) ->
+  insert:(Tuple.t -> unit) ->
+  flush:(unit -> unit) ->
+  change list ->
+  unit
+(** One transaction of immediate maintenance (§2.1, after [Blak86]):
+    {!write_base}; [mark] each change's before and after images (the
+    screening verdicts; [Some true] puts the image in D or A); charge [C3]
+    per entry of the in-memory D and A sets to [Overhead]; then, inside a
+    {!refresh_span} under [Refresh], [delete] every D entry and [insert]
+    every A entry, each in change order, and [flush]. *)
+
+val scan_modified :
+  Cost_meter.t ->
+  compiled:(Tuple_view.t -> bool option) ->
+  col:int ->
+  lo:Value.t ->
+  hi:Value.t ->
+  ((Tuple_view.t -> unit) -> unit) ->
+  (Tuple_view.t -> unit) ->
+  unit
+(** The query-modification row test (§3.3): [scan_modified meter ~compiled
+    ~col ~lo ~hi examined k] charges one [C1] per row [examined] hands out
+    and calls [k] on each row the compiled view predicate accepts whose
+    column [col] lies between [lo] and [hi] inclusive.  The cursor is valid
+    only during [k]. *)
+
 val min_sentinel : Value.t
 val max_sentinel : Value.t
 (** Extreme values bracketing every key (used for unbounded scans and

@@ -35,6 +35,12 @@ let single_tuple_answer env state =
 let bag_of_state state =
   Bag.of_list [ Tuple.make ~tid:0 [| Value.Float (Aggregate.value state) |] ]
 
+(* The aggregate over the base relation as stored, unmetered. *)
+let contents_of_base env base =
+  bag_of_state
+    (Aggregate.of_tuples env.agg.View_def.a_kind
+       (Ops.select (sp env).sp_pred (Strategy.base_tuples base)))
+
 (* One stored page holds the aggregate state. *)
 let alloc_state_page env = Disk.alloc (disk env) ~file:("agg:" ^ env.agg.View_def.a_name)
 
@@ -103,32 +109,25 @@ let immediate env =
   let state = initial_state env in
   let page = alloc_state_page env in
   let screen = make_screen env in
-  let m = meter env in
   let handle_transaction changes =
+    Strategy.write_base (meter env) base changes;
+    (* Model 3 holds no A/D sets (no C3): marked images go straight into
+       the aggregate state, and its one page is written back. *)
     let touched = ref false in
     List.iter
       (fun (change : Strategy.change) ->
-        Cost_meter.with_category m Cost_meter.Base (fun () ->
-            Option.iter
-              (fun tuple ->
-                ignore
-                  (Btree.remove base ~key:(Btree.key_of base tuple) ~tid:(Tuple.tid tuple)))
-              change.before;
-            Option.iter (Btree.insert base) change.after);
-        let mark = Option.map (Screen.screen screen) in
-        (match (change.before, mark change.before) with
+        let marked_old, marked_new = Screen.screen_images screen change in
+        (match (change.before, marked_old) with
         | Some tuple, Some true ->
             Aggregate.delete state tuple;
             touched := true
         | _ -> ());
-        match (change.after, mark change.after) with
+        match (change.after, marked_new) with
         | Some tuple, Some true ->
             Aggregate.insert state tuple;
             touched := true
         | _ -> ())
       changes;
-    Cost_meter.with_category m Cost_meter.Base (fun () ->
-        Buffer_pool.invalidate (Btree.pool base));
     if !touched then write_state env page
   in
   let scalar_query () =
@@ -143,32 +142,13 @@ let immediate env =
         ignore (scalar_query ());
         single_tuple_answer env state);
     scalar_query;
-    view_contents =
-      (fun () ->
-        let tuples = ref [] in
-        Btree.iter_unmetered base (fun tuple -> tuples := tuple :: !tuples);
-        bag_of_state
-          (Aggregate.of_tuples env.agg.View_def.a_kind
-             (Ops.select (sp env).sp_pred !tuples)));
+    view_contents = (fun () -> contents_of_base env base);
   }
 
 let recompute env =
   let base = make_base_btree env in
   let m = meter env in
   let compiled = Predicate.compile (sp env).sp_pred in
-  let handle_transaction changes =
-    Cost_meter.with_category m Cost_meter.Base (fun () ->
-        List.iter
-          (fun (change : Strategy.change) ->
-            Option.iter
-              (fun tuple ->
-                ignore
-                  (Btree.remove base ~key:(Btree.key_of base tuple) ~tid:(Tuple.tid tuple)))
-              change.before;
-            Option.iter (Btree.insert base) change.after)
-          changes;
-        Buffer_pool.invalidate (Btree.pool base))
-  in
   let compute () =
     Cost_meter.with_category m Cost_meter.Query (fun () ->
         let state = Aggregate.create env.agg.View_def.a_kind in
@@ -185,14 +165,8 @@ let recompute env =
   in
   {
     Strategy.name = "recompute";
-    handle_transaction;
+    handle_transaction = Strategy.write_base m base;
     answer_query = (fun _q -> single_tuple_answer env (compute ()));
     scalar_query = (fun () -> Aggregate.value (compute ()));
-    view_contents =
-      (fun () ->
-        let tuples = ref [] in
-        Btree.iter_unmetered base (fun tuple -> tuples := tuple :: !tuples);
-        bag_of_state
-          (Aggregate.of_tuples env.agg.View_def.a_kind
-             (Ops.select (sp env).sp_pred !tuples)));
+    view_contents = (fun () -> contents_of_base env base);
   }

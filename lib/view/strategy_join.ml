@@ -37,14 +37,9 @@ let make_right_hash env =
   hash
 
 let make_materialized env =
-  let mat =
-    Materialized.create ~disk:(disk env) ~name:env.view.j_name
-      ~fanout:(Strategy.fanout (geometry env))
-      ~leaf_capacity:(Strategy.blocking_factor (geometry env) env.view.j_out_schema)
-      ~cluster_col:env.view.j_cluster_out ()
-  in
-  Materialized.rebuild mat (Delta.recompute_join ~tids:(tids env) env.view env.initial_left env.initial_right);
-  mat
+  Strategy.stored_view env.ctx ~name:env.view.j_name ~schema:env.view.j_out_schema
+    ~cluster_col:env.view.j_cluster_out
+    (Delta.recompute_join ~tids:(tids env) env.view env.initial_left env.initial_right)
 
 let make_screen env =
   Screen.create ~meter:(meter env) ~view_name:env.view.j_name ~pred:env.view.j_left_pred ()
@@ -56,6 +51,9 @@ let probe env r2 m left_tuple =
   List.map
     (fun right_tuple -> join_output env left_tuple right_tuple)
     (Hash_file.lookup r2 (Tuple.get left_tuple env.view.j_left_col))
+
+let maintain env r2 m mat action tuple =
+  List.iter (Materialized.apply mat action) (probe env r2 m tuple)
 
 let logical_view env left_tuples =
   Delta.recompute_join ~tids:(tids env) env.view left_tuples env.initial_right
@@ -80,10 +78,10 @@ let deferred env =
       Cost_meter.with_category m Cost_meter.Refresh (fun () ->
           (* Pages of R2 read for the delete join stay buffered for the insert
              join (§3.4.1); both joins complete before the pool is dropped. *)
-          let apply action tuple =
-            List.iter (Materialized.apply mat action) (probe env r2 m tuple)
+          let net =
+            Hr.drain hr ~delete:(maintain env r2 m mat Delete)
+              ~insert:(maintain env r2 m mat Insert)
           in
-          let net = Hr.drain hr ~delete:(apply Delete) ~insert:(apply Insert) in
           Buffer_pool.invalidate (Hash_file.pool r2);
           Materialized.flush mat;
           net)
@@ -123,38 +121,10 @@ let immediate env =
   let r2 = make_right_hash env in
   let mat = make_materialized env in
   let screen = make_screen env in
-  let handle_transaction changes =
-    let marked_deletes = ref [] and marked_inserts = ref [] in
-    List.iter
-      (fun (change : Strategy.change) ->
-        Cost_meter.with_category m Cost_meter.Base (fun () ->
-            Option.iter
-              (fun tuple ->
-                ignore
-                  (Btree.remove base ~key:(Btree.key_of base tuple) ~tid:(Tuple.tid tuple)))
-              change.before;
-            Option.iter (Btree.insert base) change.after);
-        let mark = Option.map (Screen.screen screen) in
-        (match (change.before, mark change.before) with
-        | Some tuple, Some true -> marked_deletes := tuple :: !marked_deletes
-        | _ -> ());
-        match (change.after, mark change.after) with
-        | Some tuple, Some true -> marked_inserts := tuple :: !marked_inserts
-        | _ -> ())
-      changes;
-    Cost_meter.with_category m Cost_meter.Base (fun () ->
-        Buffer_pool.invalidate (Btree.pool base));
-    Cost_meter.with_category m Cost_meter.Overhead (fun () ->
-        Cost_meter.charge_set_overhead m
-          (List.length !marked_deletes + List.length !marked_inserts));
-    Strategy.refresh_span m ~view:env.view.j_name @@ fun () ->
-    Cost_meter.with_category m Cost_meter.Refresh (fun () ->
-        List.iter
-          (fun tuple -> List.iter (Materialized.apply mat Delete) (probe env r2 m tuple))
-          (List.rev !marked_deletes);
-        List.iter
-          (fun tuple -> List.iter (Materialized.apply mat Insert) (probe env r2 m tuple))
-          (List.rev !marked_inserts);
+  let handle_transaction =
+    Strategy.immediate_step m ~view:env.view.j_name ~base ~mark:(Screen.screen_images screen)
+      ~delete:(maintain env r2 m mat Delete) ~insert:(maintain env r2 m mat Insert)
+      ~flush:(fun () ->
         Buffer_pool.invalidate (Hash_file.pool r2);
         Materialized.flush mat)
   in
@@ -171,35 +141,16 @@ let qmod_loopjoin env =
   let m = meter env in
   let base = make_left_btree env in
   let r2 = make_right_hash env in
-  let cluster_col = base_cluster_col env in
-  let handle_transaction changes =
-    Cost_meter.with_category m Cost_meter.Base (fun () ->
-        List.iter
-          (fun (change : Strategy.change) ->
-            Option.iter
-              (fun tuple ->
-                ignore
-                  (Btree.remove base ~key:(Btree.key_of base tuple) ~tid:(Tuple.tid tuple)))
-              change.before;
-            Option.iter (Btree.insert base) change.after)
-          changes;
-        Buffer_pool.invalidate (Btree.pool base))
-  in
   let compiled = Predicate.compile env.view.j_left_pred in
   let answer_query (q : Strategy.query) =
     Cost_meter.with_category m Cost_meter.Query (fun () ->
-        (* Modified-query test straight off the cells; only joining survivors
-           are boxed, and the R2 probes run after the scan — probing
-           Hash_file pulls pages through its buffer pool, which must not
-           happen under the live base cursor (vmlint D9). *)
+        (* Only joining survivors are boxed, and the R2 probes run after the
+           scan — probing Hash_file pulls pages through its buffer pool,
+           which must not happen under the live base cursor (vmlint D9). *)
         let survivors = ref [] in
-        Btree.range_views base ~lo:q.q_lo ~hi:q.q_hi (fun v ->
-            Cost_meter.charge_predicate_test m;
-            if
-              Predicate.eval_view compiled v
-              && Tuple_view.compare_col v cluster_col q.q_lo >= 0
-              && Tuple_view.compare_col v cluster_col q.q_hi <= 0
-            then survivors := Tuple_view.materialize v :: !survivors);
+        Strategy.scan_modified m ~compiled ~col:(base_cluster_col env) ~lo:q.q_lo ~hi:q.q_hi
+          (Btree.range_views base ~lo:q.q_lo ~hi:q.q_hi)
+          (fun v -> survivors := Tuple_view.materialize v :: !survivors);
         let out = ref [] in
         List.iter
           (fun left ->
@@ -213,12 +164,8 @@ let qmod_loopjoin env =
   in
   {
     Strategy.name = "qmod-loopjoin";
-    handle_transaction;
+    handle_transaction = Strategy.write_base m base;
     answer_query;
     scalar_query = Strategy.no_scalar;
-    view_contents =
-      (fun () ->
-        let tuples = ref [] in
-        Btree.iter_unmetered base (fun tuple -> tuples := tuple :: !tuples);
-        logical_view env !tuples);
+    view_contents = (fun () -> logical_view env (Strategy.base_tuples base));
   }

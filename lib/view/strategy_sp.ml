@@ -23,14 +23,11 @@ let make_base_btree env =
   Strategy.base_relation env.ctx env.view.sp_base ~key_col:(base_cluster_col env) env.initial
 
 let make_materialized env =
-  let mat =
-    Materialized.create ~disk:(disk env) ~name:env.view.sp_name
-      ~fanout:(Strategy.fanout (geometry env))
-      ~leaf_capacity:(Strategy.blocking_factor (geometry env) env.view.sp_out_schema)
-      ~cluster_col:env.view.sp_cluster_out ()
-  in
-  Materialized.rebuild mat (Delta.recompute_sp ~tids:(tids env) env.view env.initial);
-  mat
+  Strategy.stored_view env.ctx ~name:env.view.sp_name ~schema:env.view.sp_out_schema
+    ~cluster_col:env.view.sp_cluster_out
+    (Delta.recompute_sp ~tids:(tids env) env.view env.initial)
+
+let maintain env mat action tuple = Materialized.apply mat action (sp_output env tuple)
 
 let make_screen env =
   Screen.create ~meter:(meter env) ~view_name:env.view.sp_name ~pred:env.view.sp_pred ()
@@ -51,10 +48,8 @@ let check_refresh_equals_recompute env ~name base mat =
   if Sanitize.sample san ~rule:"refresh-equals-recompute" then
     Sanitize.check san ~rule:"refresh-equals-recompute"
       (fun () ->
-        let tuples = ref [] in
-        Btree.iter_unmetered base (fun tuple -> tuples := tuple :: !tuples);
         let expect =
-          Delta.recompute_sp ~tids:(Tuple.source ~first:0 ()) env.view !tuples
+          Delta.recompute_sp ~tids:(Tuple.source ~first:0 ()) env.view (Strategy.base_tuples base)
         in
         Bag.equal (Materialized.to_bag_unmetered mat) expect)
       ~detail:(fun () ->
@@ -90,8 +85,7 @@ let deferred_with_policy_internal ?layout ~policy ~name env =
   let screen = make_screen env in
   let reads = View_def.sp_reads env.view in
   let mark = Screen.screen screen in
-  let delete tuple = Materialized.apply mat Delete (sp_output env tuple)
-  and insert tuple = Materialized.apply mat Insert (sp_output env tuple) in
+  let delete = maintain env mat Delete and insert = maintain env mat Insert in
   let refresh ?(category = Cost_meter.Refresh) () =
     Strategy.refresh_span m ~view:env.view.sp_name (fun () ->
         let net =
@@ -204,50 +198,16 @@ let snapshot ~period env =
 (* ------------------------------------------------------------------ *)
 
 let immediate env =
-  let m = meter env in
   let base = make_base_btree env in
   let mat = make_materialized env in
   let screen = make_screen env in
   let reads = View_def.sp_reads env.view in
-  let update_base (change : Strategy.change) =
-    Cost_meter.with_category m Cost_meter.Base (fun () ->
-        Option.iter
-          (fun tuple ->
-            ignore
-              (Btree.remove base ~key:(Btree.key_of base tuple) ~tid:(Tuple.tid tuple)))
-          change.before;
-        Option.iter (Btree.insert base) change.after)
-  in
   let handle_transaction changes =
-    let marked_deletes = ref [] and marked_inserts = ref [] in
-    List.iter
-      (fun (change : Strategy.change) ->
-        update_base change;
-        let marked_old, marked_new = Screen.screen_change screen ~reads change in
-        (match (change.before, marked_old) with
-        | Some tuple, Some true -> marked_deletes := tuple :: !marked_deletes
-        | _ -> ());
-        match (change.after, marked_new) with
-        | Some tuple, Some true -> marked_inserts := tuple :: !marked_inserts
-        | _ -> ())
+    Strategy.immediate_step (meter env) ~view:env.view.sp_name ~base
+      ~mark:(Screen.screen_change screen ~reads)
+      ~delete:(maintain env mat Delete) ~insert:(maintain env mat Insert)
+      ~flush:(fun () -> Materialized.flush mat)
       changes;
-    Cost_meter.with_category m Cost_meter.Base (fun () ->
-        Buffer_pool.invalidate (Btree.pool base));
-    (* Resetting the in-memory A and D sets costs C3 per tuple they hold. *)
-    Cost_meter.with_category m Cost_meter.Overhead (fun () ->
-        Cost_meter.charge_set_overhead m
-          (List.length !marked_deletes + List.length !marked_inserts));
-    Strategy.refresh_span m ~view:env.view.sp_name (fun () ->
-        Cost_meter.with_category m Cost_meter.Refresh (fun () ->
-            List.iter
-              (fun tuple ->
-                Materialized.apply mat Delete (sp_output env tuple))
-              (List.rev !marked_deletes);
-            List.iter
-              (fun tuple ->
-                Materialized.apply mat Insert (sp_output env tuple))
-              (List.rev !marked_inserts);
-            Materialized.flush mat));
     check_refresh_equals_recompute env ~name:"immediate" base mat
   in
   {
@@ -263,58 +223,33 @@ let immediate env =
 (* Query modification                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let qmod_answer env m ~compiled examined (q : Strategy.query) =
-  (* [examined] aims a page cursor at base rows; each is tested against the
-     modified query (view predicate AND query range) at C1, straight off the
-     cells.  Only survivors are boxed (and mint an output tid). *)
-  let cluster = base_cluster_col env in
+let qmod_answer env ~compiled examined (q : Strategy.query) =
+  (* [examined] aims a page cursor at base rows; only survivors of the
+     modified query are boxed (and mint an output tid). *)
   let out = ref [] in
-  examined (fun view ->
-      Cost_meter.charge_predicate_test m;
-      if
-        Predicate.eval_view compiled view
-        && Tuple_view.compare_col view cluster q.q_lo >= 0
-        && Tuple_view.compare_col view cluster q.q_hi <= 0
-      then out := (View_def.sp_output_view ~tids:(tids env) env.view view, 1) :: !out);
+  Strategy.scan_modified (meter env) ~compiled ~col:(base_cluster_col env) ~lo:q.q_lo
+    ~hi:q.q_hi examined (fun view ->
+      out := (View_def.sp_output_view ~tids:(tids env) env.view view, 1) :: !out);
   List.rev !out
 
 let qmod_clustered env =
   let m = meter env in
   let base = make_base_btree env in
   let compiled = Predicate.compile env.view.sp_pred in
-  let handle_transaction changes =
-    Cost_meter.with_category m Cost_meter.Base (fun () ->
-        List.iter
-          (fun (change : Strategy.change) ->
-            Option.iter
-              (fun tuple ->
-                ignore
-                  (Btree.remove base ~key:(Btree.key_of base tuple) ~tid:(Tuple.tid tuple)))
-              change.before;
-            Option.iter (Btree.insert base) change.after)
-          changes;
-        Buffer_pool.invalidate (Btree.pool base))
-  in
   let answer_query (q : Strategy.query) =
     Cost_meter.with_category m Cost_meter.Query (fun () ->
         let result =
-          qmod_answer env m ~compiled
-            (fun f -> Btree.range_views base ~lo:q.q_lo ~hi:q.q_hi f)
-            q
+          qmod_answer env ~compiled (Btree.range_views base ~lo:q.q_lo ~hi:q.q_hi) q
         in
         Buffer_pool.invalidate (Btree.pool base);
         result)
   in
   {
     Strategy.name = "qmod-clustered";
-    handle_transaction;
+    handle_transaction = Strategy.write_base m base;
     answer_query;
     scalar_query = Strategy.no_scalar;
-    view_contents =
-      (fun () ->
-        let tuples = ref [] in
-        Btree.iter_unmetered base (fun tuple -> tuples := tuple :: !tuples);
-        logical_view_of_tuples env !tuples);
+    view_contents = (fun () -> logical_view_of_tuples env (Strategy.base_tuples base));
   }
 
 module Secondary_key = struct
@@ -375,7 +310,7 @@ let qmod_unclustered env =
               end)
             (Seq.take_while (fun ((v, _), _) -> Value.compare v q.q_hi <= 0) seq)
         in
-        let result = qmod_answer env m ~compiled examined q in
+        let result = qmod_answer env ~compiled examined q in
         Buffer_pool.invalidate (Heap_file.pool heap);
         result)
   in
@@ -420,7 +355,7 @@ let qmod_sequential env =
   in
   let answer_query (q : Strategy.query) =
     Cost_meter.with_category m Cost_meter.Query (fun () ->
-        let result = qmod_answer env m ~compiled (fun f -> Heap_file.scan_views heap f) q in
+        let result = qmod_answer env ~compiled (Heap_file.scan_views heap) q in
         Buffer_pool.invalidate (Heap_file.pool heap);
         result)
   in
@@ -448,17 +383,7 @@ let recompute env =
   let reads = View_def.sp_reads env.view in
   let dirty = ref false in
   let handle_transaction changes =
-    Cost_meter.with_category m Cost_meter.Base (fun () ->
-        List.iter
-          (fun (change : Strategy.change) ->
-            Option.iter
-              (fun tuple ->
-                ignore
-                  (Btree.remove base ~key:(Btree.key_of base tuple) ~tid:(Tuple.tid tuple)))
-              change.before;
-            Option.iter (Btree.insert base) change.after)
-          changes;
-        Buffer_pool.invalidate (Btree.pool base));
+    Strategy.write_base m base changes;
     List.iter
       (fun change ->
         let marked_old, marked_new = Screen.screen_change screen ~reads change in
@@ -492,9 +417,5 @@ let recompute env =
         refresh_if_needed ();
         Materialized.answer mat ~meter:(meter env) ~lo:q.Strategy.q_lo ~hi:q.q_hi);
     scalar_query = Strategy.no_scalar;
-    view_contents =
-      (fun () ->
-        let tuples = ref [] in
-        Btree.iter_unmetered base (fun tuple -> tuples := tuple :: !tuples);
-        logical_view_of_tuples env !tuples);
+    view_contents = (fun () -> logical_view_of_tuples env (Strategy.base_tuples base));
   }

@@ -6,4 +6,4 @@ let () =
     @ Test_extensions.suites @ Test_adaptive.suites @ Test_lang.suites @ Test_db.suites
     @ Test_stress.suites @ Test_obs.suites @ Test_ctx.suites @ Test_integration.suites
     @ Test_sanitize.suites @ Test_analysis.suites @ Test_wal.suites @ Test_serve.suites
-    @ Test_flight.suites @ Test_flat.suites @ Test_fleet.suites)
+    @ Test_flight.suites @ Test_flat.suites @ Test_fleet.suites @ Test_ledger.suites)
